@@ -327,8 +327,8 @@ fn drive_open_loop(
 
 /// One KV/session-store point: 1 compute + 1 data server, [`KV_KEYS`]
 /// session objects, zipf-skewed 70% `get` / 30% `put` mix. A hot
-/// invocation costs ~8 ms virtual under the Sun-3 model, so a single
-/// in-order server saturates near 125 rps.
+/// invocation costs ~12 ms virtual under the Sun-3 model, so a single
+/// in-order server saturates near 83 rps.
 pub fn run_kv_point(seed: u64, offered_rps: u64, requests: u64) -> LoadPoint {
     let cluster = Cluster::builder()
         .compute_servers(1)
@@ -444,7 +444,7 @@ mod tests {
 
     #[test]
     fn open_loop_charges_queueing_delay_past_saturation() {
-        // Far past the ~125 rps knee the tail must blow up relative to
+        // Far past the ~83 rps knee the tail must blow up relative to
         // a lightly loaded run — that is the whole point of open loop.
         let light = run_kv_point(7, 30, 60);
         let heavy = run_kv_point(7, 400, 60);

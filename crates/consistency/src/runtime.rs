@@ -6,8 +6,10 @@ use crate::hooks::RemoteLockHooks;
 use clouds::consistency_hooks::CpSession;
 use clouds::{CloudsError, Cluster, ComputeServer, OperationLabel};
 use clouds_dsm::ports;
+use clouds_obs::{Counter, NodeObs};
 use clouds_ra::SysName;
 use clouds_simnet::NodeId;
+use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -52,11 +54,32 @@ pub struct ConsistencyRuntime {
     registry: OutcomeRegistry,
     registry_node: NodeId,
     data_nodes: Vec<NodeId>,
+    /// Each coordinating compute server's `2pc.*` counters, resolved on
+    /// its first gcp.
+    gcp_metrics: Mutex<BTreeMap<NodeId, Arc<GcpMetrics>>>,
     txn_counter: AtomicU64,
     owner_counter: AtomicU64,
     commits: AtomicU64,
     aborts: AtomicU64,
     failures: AtomicU64,
+}
+
+/// A coordinator's `2pc.*` counter handles, so a gcp never resolves a
+/// metric by name.
+struct GcpMetrics {
+    prepares: Arc<Counter>,
+    aborts: Arc<Counter>,
+    commits: Arc<Counter>,
+}
+
+impl GcpMetrics {
+    fn new(obs: &NodeObs) -> GcpMetrics {
+        GcpMetrics {
+            prepares: obs.counter("2pc.prepares"),
+            aborts: obs.counter("2pc.aborts"),
+            commits: obs.counter("2pc.commits"),
+        }
+    }
 }
 
 impl fmt::Debug for ConsistencyRuntime {
@@ -88,6 +111,7 @@ impl ConsistencyRuntime {
             registry,
             registry_node: data_nodes[0],
             data_nodes,
+            gcp_metrics: Mutex::new(BTreeMap::new()),
             txn_counter: AtomicU64::new(1),
             owner_counter: AtomicU64::new(1),
             commits: AtomicU64::new(0),
@@ -303,7 +327,13 @@ impl ConsistencyRuntime {
         let detail = format!("txn={txn} participants={}", servers.len());
         let mut span = obs.traced_span("2pc", "gcp_commit", &detail);
         span.set_args(detail);
-        obs.counter("2pc.prepares").add(servers.len() as u64);
+        let metrics = Arc::clone(
+            self.gcp_metrics
+                .lock()
+                .entry(compute.node_id())
+                .or_insert_with(|| Arc::new(GcpMetrics::new(&obs))),
+        );
+        metrics.prepares.add(servers.len() as u64);
 
         // Phase 1: prepare everywhere, in parallel across participants
         // (each prepare is an independent vote; the decision only needs
@@ -327,7 +357,7 @@ impl ConsistencyRuntime {
 
         obs.instant("2pc", "prepare", format!("txn={txn} ok={all_prepared}"));
         if !all_prepared {
-            obs.counter("2pc.aborts").inc();
+            metrics.aborts.inc();
             obs.instant("2pc", "abort", format!("txn={txn} cause=prepare"));
             self.broadcast(compute, &servers, |_| CommitRequest::Abort { txn });
             return Err(CloudsError::ConsistencyAbort(format!(
@@ -340,7 +370,7 @@ impl ConsistencyRuntime {
         match self.call(compute, self.registry_node, &CommitRequest::RecordOutcome { txn }) {
             Ok(CommitReply::Ok) => {}
             _ => {
-                obs.counter("2pc.aborts").inc();
+                metrics.aborts.inc();
                 obs.instant("2pc", "abort", format!("txn={txn} cause=outcome_record"));
                 self.broadcast(compute, &servers, |_| CommitRequest::Abort { txn });
                 return Err(CloudsError::ConsistencyAbort(format!(
@@ -354,7 +384,7 @@ impl ConsistencyRuntime {
         // misses the message recovers the verdict from the registry on
         // restart.
         self.broadcast(compute, &servers, |_| CommitRequest::Commit { txn });
-        obs.counter("2pc.commits").inc();
+        metrics.commits.inc();
         obs.instant("2pc", "commit", format!("txn={txn}"));
         Ok(())
     }

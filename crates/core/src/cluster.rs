@@ -426,5 +426,16 @@ impl Drop for Cluster {
                 eprintln!("CLOUDS_TRACE: could not write {}: {e}", path.display());
             }
         }
+        // Services hold handles back to their node, so without an
+        // explicit shutdown every node, with its receive loop and parked
+        // workers, would outlive the cluster.
+        for d in &self.datas {
+            d.stop_failover();
+        }
+        let nodes = self.computes.iter().map(ComputeServer::ratp);
+        let nodes = nodes.chain(self.datas.iter().map(DataServer::ratp));
+        for node in nodes.chain(self.stations.iter().map(Workstation::ratp)) {
+            node.shutdown();
+        }
     }
 }

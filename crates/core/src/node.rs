@@ -25,7 +25,7 @@ use crate::object_manager::ObjectManager;
 use crate::thread::{ThreadHandle, ThreadId, ThreadState};
 use clouds_dsm::{ports, DsmClientPartition, DsmServer, LockService, SemaphoreService};
 use clouds_naming::{NameClient, NameServer};
-use clouds_obs::{MetricsRegistry, NodeObs, TraceSink};
+use clouds_obs::{Histogram, MetricsRegistry, NodeObs, TraceSink};
 use clouds_ra::{PageCache, RaKernel, SysName};
 use clouds_ratp::{RatpConfig, RatpNode, Request};
 use clouds_simnet::{Network, NodeId};
@@ -34,7 +34,7 @@ use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Wire form of an invocation target.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -144,6 +144,8 @@ pub(crate) struct ComputeInner {
     /// Data server hosting the semaphore service.
     pub sync_server: NodeId,
     pub thread_counter: AtomicU32,
+    /// The `invoke.call` histogram, resolved on the first invocation.
+    pub invoke_call: OnceLock<Arc<Histogram>>,
     /// Console output of headless threads (no workstation attached).
     pub console: Mutex<String>,
     /// Weak self-reference so invocations can hand `Arc<ComputeInner>`
@@ -188,7 +190,9 @@ impl ComputeInner {
             let trace_id = clouds_obs::derive_trace_id(thread.id.0, thread.trace_roots);
             obs.root_span(trace_id, "invoke", "invoke", &detail)
         }
-        .with_histogram(obs.histogram("invoke.call"));
+        .with_histogram(Arc::clone(
+            self.invoke_call.get_or_init(|| obs.histogram("invoke.call")),
+        ));
         span.set_args(detail);
         let activation = self.object_manager.activate(target)?;
         let cost = self.kernel.cost().clone();
@@ -563,6 +567,7 @@ impl ComputeServer {
             naming,
             sync_server: naming_server,
             thread_counter: AtomicU32::new(1),
+            invoke_call: OnceLock::new(),
             console: Mutex::new(String::new()),
             self_ref: Mutex::new(None),
         });

@@ -4,6 +4,8 @@
 use clouds::prelude::*;
 use clouds::{decode_args, encode_result};
 use clouds_simnet::CostModel;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Recursion through the OS: factorial where every level is a full
 /// object invocation.
@@ -135,4 +137,36 @@ fn builder_shapes_cluster() {
     ids.sort_unstable();
     ids.dedup();
     assert_eq!(ids.len(), 7);
+}
+
+#[test]
+fn dropping_a_cluster_frees_every_node() {
+    let cluster = Cluster::builder()
+        .compute_servers(2)
+        .data_servers(2)
+        .workstations(1)
+        .cost_model(CostModel::zero())
+        .build()
+        .unwrap();
+    cluster.register_class("recursor", Recursor).unwrap();
+    let ws = cluster.workstation(0);
+    ws.create_object("recursor", "R").unwrap();
+    let depth: usize = ws.run_wait_decode("R", "depth", &()).unwrap();
+    assert_eq!(depth, 1);
+    // A crashed node must shut down too.
+    cluster.crash_data_server(1);
+    let computes = cluster.computes().iter().map(|c| c.ratp());
+    let datas = cluster.data_servers().iter().map(|d| d.ratp());
+    let stations = cluster.workstations().iter().map(|w| w.ratp());
+    let nodes: Vec<_> = computes.chain(datas).chain(stations).map(Arc::downgrade).collect();
+    drop(cluster);
+    // Every request handler has replied and its worker is joined; only
+    // a fire-and-forget notify (a page-install ack) may still be running
+    // its handler, which holds its node until it returns. The deadline
+    // only bounds a failure: a leaked node never drops.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while nodes.iter().any(|n| n.upgrade().is_some()) {
+        assert!(Instant::now() < deadline, "a node outlived its cluster");
+        std::thread::yield_now();
+    }
 }

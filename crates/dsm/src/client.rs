@@ -644,7 +644,8 @@ impl Partition for DsmClientPartition {
 
     /// One `WriteBackBatch` RPC per home server, pipelined across
     /// distinct homes with scoped threads: an N-page commit flush costs
-    /// one round trip per server instead of N.
+    /// one round trip per server instead of N. A single home is sent
+    /// inline.
     fn write_back_batch(&self, items: &[WriteBackItem]) -> Vec<clouds_ra::Result<u64>> {
         if !self.config.batch_write_backs || items.len() <= 1 {
             return items
@@ -667,33 +668,43 @@ impl Partition for DsmClientPartition {
                 Err(e) => results[i] = Err(e),
             }
         }
-        // Per-home threads inherit the committing thread's causal
-        // context: the batch spans parent under the ambient span.
-        let ctx = current_ctx();
-        let outcomes: Vec<(Vec<usize>, Vec<clouds_ra::Result<u64>>)> = std::thread::scope(|s| {
-            let handles: Vec<_> = groups
-                .into_iter()
-                .map(|(home, idxs)| {
-                    s.spawn(move || {
-                        let _trace = ctx.map(install_ctx);
-                        let pages: Vec<WireWriteBack> = idxs
-                            .iter()
-                            .map(|&i| WireWriteBack {
-                                seg: items[i].seg,
-                                page: items[i].page,
-                                data: PageBytes::copy_from_slice(&items[i].data),
-                            })
-                            .collect();
-                        let res = self.send_write_back_batch(home, pages);
-                        (idxs, res)
-                    })
+        let send_group = |home: NodeId, idxs: Vec<usize>| {
+            let pages: Vec<WireWriteBack> = idxs
+                .iter()
+                .map(|&i| WireWriteBack {
+                    seg: items[i].seg,
+                    page: items[i].page,
+                    data: PageBytes::copy_from_slice(&items[i].data),
                 })
                 .collect();
-            handles
+            let res = self.send_write_back_batch(home, pages);
+            (idxs, res)
+        };
+        let outcomes: Vec<(Vec<usize>, Vec<clouds_ra::Result<u64>>)> = if groups.len() <= 1 {
+            groups
                 .into_iter()
-                .map(|h| h.join().expect("write-back batch thread panicked"))
+                .map(|(home, idxs)| send_group(home, idxs))
                 .collect()
-        });
+        } else {
+            // Per-home threads inherit the committing thread's causal
+            // context: the batch spans parent under the ambient span.
+            let ctx = current_ctx();
+            std::thread::scope(|s| {
+                let handles: Vec<_> = groups
+                    .into_iter()
+                    .map(|(home, idxs)| {
+                        s.spawn(move || {
+                            let _trace = ctx.map(install_ctx);
+                            send_group(home, idxs)
+                        })
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("write-back batch thread panicked"))
+                    .collect()
+            })
+        };
         for (idxs, group_results) in outcomes {
             for (i, r) in idxs.into_iter().zip(group_results) {
                 results[i] = r;

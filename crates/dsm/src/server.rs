@@ -1275,7 +1275,7 @@ impl DsmServer {
         if let Err(e) = self.store.get(seg) {
             return DsmReply::Err(e.into());
         }
-        // Serving runs on the RaTP handler thread, which installed the
+        // Serving runs on a RaTP handler worker, which installed the
         // caller's wire context — the span parents across the node hop.
         let detail = format!("src={} seg={seg} page={page} mode={mode:?}", src.0);
         let mut span = self.obs.traced_span("dsm.server", "serve_fetch", &detail);

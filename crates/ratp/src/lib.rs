@@ -42,6 +42,7 @@
 mod detector;
 mod node;
 mod packet;
+mod pool;
 
 pub use detector::FailureDetector;
 pub use node::{CallError, RatpConfig, RatpNode, Request, Service};

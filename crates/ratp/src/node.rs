@@ -2,15 +2,17 @@
 //! retransmission and duplicate suppression.
 
 use crate::packet::{fragment, Packet, PacketKind, Reassembly};
+use crate::pool::{Worker, WorkerPool};
 use bytes::Bytes;
 use clouds_obs::{current_ctx, install_ctx, Counter, Histogram, NodeObs, SpanContext};
-use clouds_simnet::{Endpoint, NodeId, RecvError, SendError, VirtualClock, Vt};
+use clouds_simnet::{Endpoint, Frame, NodeId, RecvError, SendError, VirtualClock, Vt};
 use crossbeam::channel::{bounded, Sender};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Configuration knobs for a RaTP node.
@@ -51,9 +53,12 @@ pub struct Request {
 
 /// A server-side message handler bound to a port.
 ///
-/// Handlers run on their own thread and may block — including calling
-/// other nodes through the same [`RatpNode`] — without deadlocking the
-/// receive loop. Closures `Fn(Request) -> Bytes + Send + Sync` implement
+/// Handlers run on the node's worker pool, off the receive loop, and may
+/// block — including calling other nodes through the same [`RatpNode`],
+/// and being called back — without deadlocking: the pool is elastic, so
+/// a request never waits for another handler to finish. A worker is
+/// reused once its handler has returned, with no span context left
+/// installed. Closures `Fn(Request) -> Bytes + Send + Sync` implement
 /// this trait automatically.
 pub trait Service: Send + Sync + 'static {
     /// Process one request and produce the reply message.
@@ -126,9 +131,11 @@ struct ServerState {
 
 /// A node's RaTP protocol instance.
 ///
-/// Owns the [`Endpoint`] and a background receive thread; exposes the
-/// client side ([`RatpNode::call`]) and the server side
-/// ([`RatpNode::register_service`]). See the crate docs for an example.
+/// Owns the [`Endpoint`], a background receive thread and a pool of
+/// handler threads; exposes the client side ([`RatpNode::call`]) and the
+/// server side ([`RatpNode::register_service`]). Dropping the last
+/// handle shuts the node down (see [`RatpNode::shutdown`]). See the
+/// crate docs for an example.
 pub struct RatpNode {
     endpoint: Arc<Endpoint>,
     config: RatpConfig,
@@ -141,6 +148,8 @@ pub struct RatpNode {
     heartbeats: Mutex<BTreeMap<NodeId, Vt>>,
     txn_counter: AtomicU64,
     running: AtomicBool,
+    receiver: Mutex<Option<JoinHandle<()>>>,
+    workers: WorkerPool,
     obs: Arc<NodeObs>,
     metrics: RatpMetrics,
 }
@@ -201,8 +210,10 @@ impl RatpNode {
         obs: Arc<NodeObs>,
     ) -> Arc<RatpNode> {
         let metrics = RatpMetrics::new(&obs);
+        let name = format!("ratp-{}", endpoint.id());
+        let endpoint = Arc::new(endpoint);
         let node = Arc::new(RatpNode {
-            endpoint: Arc::new(endpoint),
+            endpoint: Arc::clone(&endpoint),
             config,
             services: RwLock::new(HashMap::new()),
             pending: Mutex::new(HashMap::new()),
@@ -210,14 +221,17 @@ impl RatpNode {
             heartbeats: Mutex::new(BTreeMap::new()),
             txn_counter: AtomicU64::new(1),
             running: AtomicBool::new(true),
+            receiver: Mutex::new(None),
+            workers: WorkerPool::new(name.clone()),
             obs,
             metrics,
         });
         let weak: Weak<RatpNode> = Arc::downgrade(&node);
-        std::thread::Builder::new()
-            .name(format!("ratp-{}", node.endpoint.id()))
-            .spawn(move || receive_loop(weak))
+        let receiver = std::thread::Builder::new()
+            .name(name)
+            .spawn(move || receive_loop(&endpoint, &weak))
             .expect("spawn ratp receive thread");
+        *node.receiver.lock() = Some(receiver);
         node
     }
 
@@ -257,9 +271,27 @@ impl RatpNode {
         self.heartbeats.lock().clear();
     }
 
-    /// Stop the receive loop. Further calls will time out.
+    /// Shut the node down for good: detach it from the network, stop
+    /// and join the receive loop, unbind every service (services usually
+    /// hold a handle back to this node, so this is what lets it drop),
+    /// and stop the handler pool, joining its idle workers. A handler
+    /// still running finishes on its own. Further calls from this node
+    /// time out. Idempotent; dropping the last handle does it too.
     pub fn shutdown(&self) {
         self.running.store(false, Ordering::Release);
+        self.endpoint.detach();
+        let receiver = self.receiver.lock().take();
+        if let Some(receiver) = receiver {
+            // The receive loop may itself drop the last handle.
+            if receiver.thread().id() != std::thread::current().id() {
+                let _ = receiver.join();
+            }
+        }
+        // Dropped outside the lock: dropping a service may reach back
+        // into this node.
+        let services = std::mem::take(&mut *self.services.write());
+        drop(services);
+        self.workers.shutdown();
     }
 
     /// Execute one message transaction with the configured retry budget.
@@ -417,46 +449,54 @@ impl RatpNode {
     }
 }
 
-fn receive_loop(weak: Weak<RatpNode>) {
+impl Drop for RatpNode {
+    fn drop(&mut self) {
+        self.shutdown();
+    }
+}
+
+/// Waits on the endpoint holding only a weak handle, so it never keeps
+/// the node alive; [`RatpNode::shutdown`] detaches the endpoint, which
+/// ends the wait at once.
+fn receive_loop(endpoint: &Endpoint, weak: &Weak<RatpNode>) {
     loop {
-        let Some(node) = weak.upgrade() else { break };
-        if !node.running.load(Ordering::Acquire) {
-            break;
-        }
-        match node.endpoint.recv_timeout(Duration::from_millis(25)) {
+        match endpoint.recv() {
             Ok(frame) => {
-                let src = frame.src;
-                if let Some(pkt) = Packet::decode(frame.payload) {
-                    node.endpoint.clock().charge(node.cost().transport_packet);
-                    // Any inbound traffic is liveness evidence, not just
-                    // dedicated beacons: a peer that crashes right after
-                    // a burst of requests (before its monitor's first
-                    // beacon tick) must still leave a "last alive" stamp
-                    // behind, or the failure detector — which treats
-                    // never-heard peers as alive — could never declare
-                    // it dead.
-                    if matches!(
-                        pkt.kind,
-                        PacketKind::Request | PacketKind::Notify | PacketKind::Heartbeat
-                    ) {
-                        let heard = node.endpoint.clock().now();
-                        node.heartbeats.lock().insert(src, heard);
-                    }
-                    match pkt.kind {
-                        PacketKind::Request => handle_request_fragment(&node, src, pkt),
-                        PacketKind::Notify => handle_notify_fragment(&node, src, pkt),
-                        PacketKind::Heartbeat => handle_heartbeat(&node, src, pkt),
-                        PacketKind::Reply | PacketKind::NoService => {
-                            handle_reply_fragment(&node, pkt)
-                        }
-                    }
+                let Some(node) = weak.upgrade() else { break };
+                if !node.running.load(Ordering::Acquire) {
+                    break;
                 }
+                receive_frame(&node, frame);
             }
-            Err(RecvError::Timeout) => {}
-            Err(RecvError::Crashed) => std::thread::sleep(Duration::from_millis(5)),
             Err(RecvError::Disconnected) => break,
-            Err(_) => {}
+            Err(_) => {} // a frame that reached this node while crashed
         }
+    }
+}
+
+fn receive_frame(node: &Arc<RatpNode>, frame: Frame) {
+    let src = frame.src;
+    let Some(pkt) = Packet::decode(frame.payload) else {
+        return;
+    };
+    node.endpoint.clock().charge(node.cost().transport_packet);
+    // Any inbound traffic is liveness evidence, not just dedicated
+    // beacons: a peer that crashes right after a burst of requests
+    // (before its monitor's first beacon tick) must still leave a "last
+    // alive" stamp behind, or the failure detector — which treats
+    // never-heard peers as alive — could never declare it dead.
+    if matches!(
+        pkt.kind,
+        PacketKind::Request | PacketKind::Notify | PacketKind::Heartbeat
+    ) {
+        let heard = node.endpoint.clock().now();
+        node.heartbeats.lock().insert(src, heard);
+    }
+    match pkt.kind {
+        PacketKind::Request => handle_request_fragment(node, src, pkt),
+        PacketKind::Notify => handle_notify_fragment(node, src, pkt),
+        PacketKind::Heartbeat => handle_heartbeat(node, src, pkt),
+        PacketKind::Reply | PacketKind::NoService => handle_reply_fragment(node, pkt),
     }
 }
 
@@ -500,25 +540,25 @@ fn handle_request_fragment(node: &Arc<RatpNode>, src: NodeId, pkt: Packet) {
             finish_transaction(node, key, frames);
         }
         Some(service) => {
-            // Run the handler on its own thread so it may block (e.g. the
+            // Run the handler on a pool worker so it may block (e.g. the
             // DSM server forwarding a page request to another node). The
             // wire context (the remote caller's span) is installed for
             // the handler's lifetime, so every span the service opens —
             // and every nested RaTP call it makes — carries the caller
             // as its causal parent.
-            let node = Arc::clone(node);
-            std::thread::Builder::new()
-                .name(format!("ratp-handler-{}-p{port}", node.endpoint.id()))
-                .spawn(move || {
+            let node_ref = Arc::clone(node);
+            node.workers.execute(Box::new(move |worker: &Worker| {
+                let reply = {
                     let _trace = ctx.is_some().then(|| install_ctx(ctx));
-                    let reply = service.handle(Request {
+                    service.handle(Request {
                         src,
                         payload: message,
-                    });
-                    let frames = encode_reply(PacketKind::Reply, 0, key.1, reply);
-                    finish_transaction(&node, key, frames);
-                })
-                .expect("spawn ratp handler thread");
+                    })
+                };
+                let frames = encode_reply(PacketKind::Reply, 0, key.1, reply);
+                worker.release();
+                finish_transaction(&node_ref, key, frames);
+            }));
         }
     }
 }
@@ -546,25 +586,20 @@ fn handle_notify_fragment(node: &Arc<RatpNode>, src: NodeId, pkt: Packet) {
     let Some(service) = node.services.read().get(&port).cloned() else {
         return;
     };
-    let node = Arc::clone(node);
-    std::thread::Builder::new()
-        .name(format!("ratp-notify-{}-p{port}", node.endpoint.id()))
-        .spawn(move || {
-            let _trace = ctx.is_some().then(|| install_ctx(ctx));
-            let _ = service.handle(Request {
-                src,
-                payload: message,
-            });
-            let _ = node; // keep the node alive while the handler runs
-        })
-        .expect("spawn ratp notify handler thread");
+    node.workers.execute(Box::new(move |_: &Worker| {
+        let _trace = ctx.is_some().then(|| install_ctx(ctx));
+        let _ = service.handle(Request {
+            src,
+            payload: message,
+        });
+    }));
 }
 
 /// Count a liveness beacon. The "last alive" stamp itself is recorded
 /// by the receive loop for every inbound packet (any traffic proves the
 /// peer was up; the stamp is the *receiver's* local virtual time, which
 /// message receipt already advanced to the frame's arrival time).
-/// Handled inline (no thread, no reply): a beacon costs one packet end
+/// Handled inline (no worker, no reply): a beacon costs one packet end
 /// to end.
 fn handle_heartbeat(node: &Arc<RatpNode>, _src: NodeId, pkt: Packet) {
     if pkt.payload.len() != 8 {

@@ -85,7 +85,7 @@ pub enum PacketKind {
     /// Liveness beacon between data servers: a single unfragmented
     /// packet whose payload is the sender's virtual clock (8 bytes,
     /// little-endian). Handled inside the receive loop — no service, no
-    /// handler thread, no reply — so a heartbeat costs exactly one
+    /// handler worker, no reply — so a heartbeat costs exactly one
     /// packet and cannot be delayed by a busy dispatcher.
     Heartbeat = 5,
 }

@@ -50,7 +50,7 @@ pub enum RecvError {
     Timeout,
     /// The receiving node is crashed.
     Crashed,
-    /// The network was dropped.
+    /// The endpoint was detached from the network.
     Disconnected,
 }
 
@@ -536,8 +536,8 @@ impl Endpoint {
     /// # Errors
     ///
     /// [`RecvError::Timeout`] if nothing arrived, [`RecvError::Crashed`]
-    /// if this node is down, [`RecvError::Disconnected`] if the network
-    /// was dropped.
+    /// if this node is down, [`RecvError::Disconnected`] if the endpoint
+    /// was detached and its queue is drained.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<Frame, RecvError> {
         if self.crashed.load(Ordering::Acquire) {
             return Err(RecvError::Crashed);
@@ -552,6 +552,39 @@ impl Endpoint {
             }
             Err(channel::RecvTimeoutError::Timeout) => Err(RecvError::Timeout),
             Err(channel::RecvTimeoutError::Disconnected) => Err(RecvError::Disconnected),
+        }
+    }
+
+    /// Wait for the next frame with no timeout, also while this node is
+    /// crashed (nothing is delivered to a crashed node, so the wait
+    /// lasts until a restart and fresh traffic, or a detach).
+    ///
+    /// # Errors
+    ///
+    /// [`RecvError::Crashed`] for a frame that arrives while this node
+    /// is down (it is discarded), [`RecvError::Disconnected`] once the
+    /// endpoint is detached and drained.
+    pub fn recv(&self) -> Result<Frame, RecvError> {
+        let frame = self.rx.recv().map_err(|_| RecvError::Disconnected)?;
+        if self.crashed.load(Ordering::Acquire) {
+            return Err(RecvError::Crashed);
+        }
+        self.clock.advance_to(frame.arrival);
+        Ok(frame)
+    }
+
+    /// Remove this node from the network for good: frames addressed to
+    /// it fail with [`SendError::UnknownNode`], and once the frames
+    /// already queued are drained, [`Endpoint::recv_timeout`] returns
+    /// [`RecvError::Disconnected`] at once instead of waiting. The id
+    /// may be registered again afterwards. Idempotent.
+    pub fn detach(&self) {
+        let mut nodes = self.net.nodes.write();
+        if nodes
+            .get(&self.id)
+            .is_some_and(|slot| Arc::ptr_eq(&slot.clock, &self.clock))
+        {
+            nodes.remove(&self.id);
         }
     }
 
@@ -618,6 +651,38 @@ mod tests {
         let net = Network::new(CostModel::zero());
         assert!(net.register(NodeId(1)).is_some());
         assert!(net.register(NodeId(1)).is_none());
+    }
+
+    #[test]
+    fn detach_drains_then_disconnects() {
+        let (net, a, b) = pair(CostModel::zero());
+        a.send(NodeId(2), Bytes::from_static(b"queued")).unwrap();
+        b.detach();
+        assert_eq!(
+            a.send(NodeId(2), Bytes::new()),
+            Err(SendError::UnknownNode(NodeId(2)))
+        );
+        assert!(b.recv().is_ok());
+        assert!(matches!(b.recv(), Err(RecvError::Disconnected)));
+        // A stale endpoint's detach leaves a re-registration alone.
+        let again = net.register(NodeId(2)).unwrap();
+        b.detach();
+        a.send(NodeId(2), Bytes::from_static(b"x")).unwrap();
+        assert!(again.try_recv().is_ok());
+    }
+
+    #[test]
+    fn detach_wakes_a_crashed_receiver() {
+        let (net, _a, b) = pair(CostModel::zero());
+        net.crash(NodeId(2));
+        let b = Arc::new(b);
+        let waiting = Arc::clone(&b);
+        let waiter = std::thread::spawn(move || waiting.recv());
+        b.detach();
+        assert!(matches!(
+            waiter.join().unwrap(),
+            Err(RecvError::Disconnected)
+        ));
     }
 
     #[test]
