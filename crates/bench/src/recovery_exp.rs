@@ -69,20 +69,13 @@ fn row(pages_written: u64) -> RecoveryRow {
     }
 
     // Reboot-crash: every volatile structure dies, only the log is left.
-    server.begin_recovery();
-    server.clear_directory();
-    server.wipe_store();
-    let out = server.recover_from_log();
-    server.finish_recovery();
+    let (resyncing, out) = server.crash().replay();
+    resyncing.serve();
 
     // Committed-durable sanity: every written page must be back.
     for page in 0..pages_written {
         let byte = server
-            .store()
-            .get(seg)
-            .expect("segment replayed")
-            .read()
-            .read(page * PAGE_SIZE as u64, 1)
+            .read_stored(seg, page * PAGE_SIZE as u64, 1)
             .expect("page replayed");
         assert_eq!(byte[0], page as u8, "page {page} lost across the crash");
     }

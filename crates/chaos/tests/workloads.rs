@@ -1059,8 +1059,8 @@ fn data_server_recovers_from_log_mid_commit() {
 
         // Reboot while links are still hostile: replay is local, and the
         // participant's outcome queries ride the patient transport.
-        datas[1].restart(&net);
-        let (staged, _) = participants[1].resume_from_log();
+        let recovered = datas[1].restart(&net);
+        let (staged, _) = participants[1].resume_from_log(recovered);
         if staged < 2 {
             return Err(format!(
                 "replay re-staged {staged} intents, want at least the crash and poison txns"
@@ -1125,8 +1125,8 @@ fn data_server_recovers_from_log_mid_commit() {
         // decision itself must be reconstructible from its log.
         datas[0].crash(&net);
         participants[0].crash_volatile_state();
-        datas[0].restart(&net);
-        let (_, outcomes) = participants[0].resume_from_log();
+        let recovered = datas[0].restart(&net);
+        let (_, outcomes) = participants[0].resume_from_log(recovered);
         if outcomes < 1 {
             return Err(format!(
                 "registry host replayed {outcomes} outcomes, want at least the decided txn"

@@ -15,7 +15,9 @@
 //!   `Commit`/`Abort` append `TxnResolved`, and `RecordOutcome` appends
 //!   `TxnOutcome` — so a participant that genuinely lost its memory
 //!   reconstructs both tables from the log replay
-//!   ([`CommitParticipant::resume_from_log`]).
+//!   ([`CommitParticipant::resume_from_log`]). Each of those acks is
+//!   built from the [`Logged`] receipt of its append, so an arm that
+//!   dropped the append would not compile.
 //! * A participant that restarts with *staged* (prepared, undecided)
 //!   transactions consults the [`OutcomeRegistry`]: committed ⇒ install
 //!   the staged pages; unknown ⇒ presumed abort
@@ -24,9 +26,9 @@
 //!   *before* sending any `Commit`, so the decision is never lost.
 
 use clouds::CloudsError;
-use clouds_dsm::{ports, DsmServer};
+use clouds_dsm::{ports, DsmServer, RecoveredTxns};
 use clouds_ra::SysName;
-use clouds_store::{IntentPage, LogRecord};
+use clouds_store::{IntentPage, LogRecord, Logged};
 use clouds_ratp::{RatpNode, Request};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -203,45 +205,16 @@ impl CommitParticipant {
 
     fn handle(&self, req: CommitRequest) -> CommitReply {
         match req {
-            CommitRequest::Prepare { txn, pages } => {
-                // Validate the pages are installable before voting yes.
-                for page in &pages {
-                    if self.dsm.store().get(page.seg).is_err() {
-                        return CommitReply::Refused;
-                    }
-                }
-                // Write-ahead: the yes vote is a durable promise, so the
-                // intent must hit the log before the reply leaves.
-                self.dsm.log().append(LogRecord::TxnIntent {
-                    txn,
-                    pages: pages
-                        .iter()
-                        .map(|p| IntentPage {
-                            seg: p.seg,
-                            page: p.page,
-                            data: p.data.clone(),
-                        })
-                        .collect(),
-                });
-                self.log
-                    .entries
-                    .lock()
-                    .insert(txn, LogState::Staged(pages));
-                CommitReply::Ok
-            }
+            CommitRequest::Prepare { txn, pages } => ack(self.prepare(txn, pages)),
             CommitRequest::Commit { txn } => {
                 let staged = self.log.entries.lock().remove(&txn);
                 match staged {
-                    Some(LogState::Staged(pages)) => {
-                        let reply = self.install_pages(&pages);
-                        if reply == CommitReply::Ok {
-                            // Installed pages are in the log (commit_page
-                            // appends them); retire the intent so a replay
-                            // does not re-stage a decided transaction.
-                            self.dsm.log().append(LogRecord::TxnResolved { txn });
-                        }
-                        reply
-                    }
+                    Some(LogState::Staged(pages)) => ack(self.install_pages(&pages).map(|_| {
+                        // Installed pages are in the log (commit_page
+                        // appends them); retire the intent so a replay
+                        // does not re-stage a decided transaction.
+                        self.dsm.log().append(LogRecord::TxnResolved { txn })
+                    })),
                     // Duplicate commit (retransmission after apply).
                     None => CommitReply::Ok,
                 }
@@ -252,18 +225,14 @@ impl CommitParticipant {
                 }
                 CommitReply::Ok
             }
-            CommitRequest::ApplyLocal { txn: _, pages } => self.install_pages(&pages),
-            CommitRequest::RecordOutcome { txn } => match &self.registry {
-                Some(reg) => {
-                    // The decision itself is what must survive the host's
-                    // crash: log it before acknowledging to the
-                    // coordinator.
-                    self.dsm.log().append(LogRecord::TxnOutcome { txn });
-                    reg.record(txn);
-                    CommitReply::Ok
-                }
-                None => CommitReply::Refused,
-            },
+            CommitRequest::ApplyLocal { txn: _, pages } => ack(self.install_pages(&pages)),
+            CommitRequest::RecordOutcome { txn } => ack(self.registry.as_ref().map(|reg| {
+                // The decision itself is what must survive the host's
+                // crash: log it before acknowledging to the coordinator.
+                let logged = self.dsm.log().append(LogRecord::TxnOutcome { txn });
+                reg.record(txn);
+                logged
+            })),
             CommitRequest::QueryOutcome { txn } => match &self.registry {
                 Some(reg) => match reg.outcome(txn) {
                     TxnOutcome::Committed => CommitReply::Committed,
@@ -274,13 +243,39 @@ impl CommitParticipant {
         }
     }
 
-    fn install_pages(&self, pages: &[PageImage]) -> CommitReply {
-        for page in pages {
-            if self.dsm.commit_page(page.seg, page.page, &page.data).is_err() {
-                return CommitReply::Refused;
-            }
+    /// Phase one: validate, log the intent, stage. The yes vote is a
+    /// durable promise, so the intent is in the log before it is staged
+    /// and before the reply leaves.
+    fn prepare(&self, txn: u64, pages: Vec<PageImage>) -> Option<Logged> {
+        // Validate the pages are installable before voting yes.
+        if !pages.iter().all(|page| self.dsm.holds(page.seg)) {
+            return None;
         }
-        CommitReply::Ok
+        let logged = self.dsm.log().append(LogRecord::TxnIntent {
+            txn,
+            pages: pages
+                .iter()
+                .map(|p| IntentPage {
+                    seg: p.seg,
+                    page: p.page,
+                    data: p.data.clone(),
+                })
+                .collect(),
+        });
+        self.log
+            .entries
+            .lock()
+            .insert(txn, LogState::Staged(pages));
+        Some(logged)
+    }
+
+    /// Install every page, or stop at the first refusal; one receipt
+    /// per installed page.
+    fn install_pages(&self, pages: &[PageImage]) -> Option<Vec<Logged>> {
+        pages
+            .iter()
+            .map(|page| self.dsm.commit_page(page.seg, page.page, &page.data).ok())
+            .collect()
     }
 
     /// Number of staged (prepared, undecided) transactions.
@@ -300,17 +295,15 @@ impl CommitParticipant {
     }
 
     /// Rebuild the staged-transaction table and the outcome registry
-    /// from the data server's log replay (the pending intents and
-    /// outcomes parked by `DsmServer::recover_from_log`). Call after the
+    /// from the pending intents and outcomes the data server's log
+    /// replay found (what `DataServer::restart` returns). Call after the
     /// data server replayed its log and before
     /// [`CommitParticipant::recover`] resolves the re-staged
     /// transactions.
     ///
-    /// Returns `(staged, outcomes)` counts; `(0, 0)` if no replay ran.
-    pub fn resume_from_log(&self) -> (usize, usize) {
-        let Some((pending, outcomes)) = self.dsm.take_recovered_txns() else {
-            return (0, 0);
-        };
+    /// Returns `(staged, outcomes)` counts.
+    pub fn resume_from_log(&self, recovered: RecoveredTxns) -> (usize, usize) {
+        let (pending, outcomes) = recovered;
         let outcome_count = outcomes.len();
         if let Some(reg) = &self.registry {
             for txn in outcomes {
@@ -379,6 +372,20 @@ impl CommitParticipant {
             self.dsm.log().append(LogRecord::TxnResolved { txn });
         }
         (installed, aborted)
+    }
+}
+
+/// What an acknowledging arm must hold: the receipts of its log appends.
+trait Receipt {}
+impl Receipt for Logged {}
+impl Receipt for Vec<Logged> {}
+
+/// The reply acknowledging a logged mutation, or refusing one that did
+/// not happen.
+fn ack(receipt: Option<impl Receipt>) -> CommitReply {
+    match receipt {
+        Some(_) => CommitReply::Ok,
+        None => CommitReply::Refused,
     }
 }
 

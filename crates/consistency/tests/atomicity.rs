@@ -419,11 +419,7 @@ fn participant_crash_between_prepare_and_commit_recovers() {
     let mut page = cluster
         .data_server(1)
         .dsm()
-        .store()
-        .get(seg)
-        .unwrap()
-        .read()
-        .read_page(0)
+        .read_stored(seg, 0, clouds_ra::PAGE_SIZE)
         .unwrap();
     page[..8].copy_from_slice(&777u64.to_le_bytes());
 
@@ -449,9 +445,15 @@ fn participant_crash_between_prepare_and_commit_recovers() {
     runtime.registry().record(txn);
     assert_eq!(runtime.registry().outcome(txn), TxnOutcome::Committed);
 
-    // Crash + restart the participant's node; recovery must install.
+    // Crash + restart the participant's node, its staged images lost
+    // with its memory: only the intent record in the log brings the
+    // transaction back, and recovery must install it.
     cluster.crash_data_server(1);
-    cluster.restart_data_server(1);
+    participant.crash_volatile_state();
+    assert_eq!(participant.staged_count(), 0);
+    let recovered = cluster.restart_data_server(1);
+    participant.resume_from_log(recovered);
+    assert_eq!(participant.staged_count(), 1);
     let (installed, aborted) = participant.recover(
         cluster.data_server(1).ratp(),
         runtime.registry_node(),

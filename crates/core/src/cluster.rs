@@ -381,7 +381,7 @@ impl Cluster {
         self.computes[0].create_object(class, Some(user_name), None)
     }
 
-    /// Crash data server `i` (volatile state lost, store survives).
+    /// Crash data server `i` (volatile state lost, its log survives).
     ///
     /// # Panics
     ///
@@ -390,13 +390,14 @@ impl Cluster {
         self.datas[i].crash(&self.net);
     }
 
-    /// Restart data server `i`.
+    /// Restart data server `i`, returning what its log replay found for
+    /// the co-located commit participant ([`DataServer::restart`]).
     ///
     /// # Panics
     ///
     /// Panics if out of range.
-    pub fn restart_data_server(&self, i: usize) {
-        self.datas[i].restart(&self.net);
+    pub fn restart_data_server(&self, i: usize) -> clouds_dsm::RecoveredTxns {
+        self.datas[i].restart(&self.net)
     }
 
     /// Crash compute server `i`.

@@ -23,7 +23,7 @@
 //! of waking up believing it still owns the segment.
 
 use clouds_dsm::proto::{self, DsmRequest};
-use clouds_dsm::{ports, DsmServer};
+use clouds_dsm::{ports, DsmServer, Lifecycle};
 use clouds_naming::NameClient;
 use clouds_ra::SysName;
 use clouds_ratp::{CallError, FailureDetector, RatpNode};
@@ -144,21 +144,24 @@ fn monitor_loop(
         for &peer in peers {
             ratp.send_heartbeat(peer);
         }
-        // A restart that could not reach the directory leaves the
-        // server fenced ([`crate::node::DataServer::resync_replicas`]);
-        // finish the resync here, where naming calls are already
-        // retried every tick. While fenced, skip the promotion sweep
-        // too — promoting on a stale pre-crash view could depose the
-        // wrong node.
-        if dsm.is_recovering() {
-            // A wiped-but-not-replayed store means the machine has not
-            // rebooted yet: its replica map is empty placeholder state,
-            // and "refreshing" zero segments must not lift the fence.
-            // Replay is the restart path's job; stand by until then.
-            if dsm.needs_replay() || !refresh_replica_views(dsm, &naming) {
-                continue;
+        // Sweep for promotions only while serving: promoting on a
+        // stale pre-crash view could depose the wrong node.
+        match dsm.lifecycle() {
+            Lifecycle::Serving => {}
+            // Not rebooted yet: the replica map is empty placeholder
+            // state, and "refreshing" zero segments must not lift the
+            // fence. Replay is the restart path's job; stand by.
+            Lifecycle::Down | Lifecycle::Replaying => continue,
+            // A restart that could not reach the directory
+            // ([`crate::node::DataServer::restart`]); finish the resync
+            // here, where naming calls are already retried every tick.
+            Lifecycle::Resyncing => {
+                let Some(resyncing) = dsm.resyncing() else { continue };
+                if !refresh_replica_views(dsm, &naming) {
+                    continue;
+                }
+                resyncing.serve();
             }
-            dsm.finish_recovery();
         }
         let now = ratp.clock().now();
         for (seg, members, epoch) in dsm.replicated_segments() {

@@ -23,7 +23,9 @@ use crate::invocation::Invocation;
 use crate::io::{IoReply, IoRequest, UserIoManager, USER_IO_PORT};
 use crate::object_manager::ObjectManager;
 use crate::thread::{ThreadHandle, ThreadId, ThreadState};
-use clouds_dsm::{ports, DsmClientPartition, DsmServer, LockService, SemaphoreService};
+use clouds_dsm::{
+    ports, DsmClientPartition, DsmServer, LockService, RecoveredTxns, SemaphoreService,
+};
 use clouds_naming::{NameClient, NameServer};
 use clouds_obs::{Histogram, MetricsRegistry, NodeObs, TraceSink};
 use clouds_ra::{PageCache, RaKernel, SysName};
@@ -956,79 +958,67 @@ impl DataServer {
 
     /// Crash the data server: only the append-only log survives (it is
     /// disk); the segment cache, coherence directory, replica views and
-    /// transport state are all volatile and lost. Replicated segments
-    /// stop being served until the restart replays the log and resyncs
-    /// views — the crash may sleep through a demotion.
+    /// transport state are all volatile and lost ([`DsmServer::crash`]).
+    /// Nothing is served until the restart replays the log, and
+    /// replicated segments not until the views are resynced — the crash
+    /// may sleep through a demotion.
+    ///
+    /// Services co-located with the data server keep their own volatile
+    /// state: a harness modelling their loss too crashes them itself
+    /// (e.g. `CommitParticipant::crash_volatile_state`).
     pub fn crash(&self, net: &Network) {
         net.crash(self.node);
-        self.lose_volatile_state();
-    }
-
-    /// The machine-reboot half of [`DataServer::crash`], without touching
-    /// the network — for harnesses whose fault injector already cut the
-    /// node off (e.g. a schedule-driven crash window): the append-only
-    /// log survives, everything else — including the in-memory segment
-    /// cache — is lost, and replicated segments stop being served until
-    /// [`DataServer::resync_replicas`].
-    pub fn lose_volatile_state(&self) {
-        self.dsm.begin_recovery();
-        self.dsm.clear_directory();
-        self.dsm.wipe_store();
-        self.ratp.reset_volatile_state();
+        self.dsm.crash();
     }
 
     /// Restart after a crash: replay the surviving log to reconstruct
-    /// pages, replica views and pending transaction state, then — if a
-    /// failover monitor was configured — refresh every replicated
-    /// segment's view from the naming directory *before* serving
-    /// resumes: a rebooted ex-primary must learn it was demoted while
-    /// down, or two servers would answer home probes for the same
-    /// segment.
-    pub fn restart(&self, net: &Network) {
-        net.restart(self.node);
-        self.resync_replicas();
-    }
-
-    /// The recovery half of [`DataServer::restart`], without touching the
-    /// network: refresh every replicated segment's view from the naming
-    /// directory, then resume serving. The counterpart of
-    /// [`DataServer::lose_volatile_state`] for harnesses that restore
-    /// connectivity themselves.
+    /// pages and replica views, then — if a failover monitor was
+    /// configured — refresh every replicated segment's view from the
+    /// naming directory *before* serving resumes: a rebooted ex-primary
+    /// must learn it was demoted while down, or two servers would
+    /// answer home probes for the same segment.
     ///
     /// Serving resumes only once *every* replicated segment's view was
     /// successfully refreshed. If the directory stays unreachable past a
-    /// short retry budget the server remains fenced — resuming on the
-    /// stale pre-crash view (in which this server may still be primary)
-    /// is exactly the split brain the fence exists to prevent — and the
-    /// failover monitor, which retries naming calls every tick, lifts
-    /// the fence when a later full refresh succeeds.
-    pub fn resync_replicas(&self) {
-        // Phase one of recovery: replay the append-only log to rebuild
-        // the segment cache, replica views and pending-transaction state
-        // from durable records alone (charging the virtual clock the
-        // scan cost). Only then is the naming directory consulted to
-        // refine the — possibly stale — replayed replica views.
-        self.dsm.recover_from_log();
-        let naming_server = self.failover.lock().as_ref().map(|st| st.naming_server);
-        let Some(ns) = naming_server else {
-            // No failover monitor was ever configured, so nothing could
-            // have re-homed segments while this server was down.
-            self.dsm.finish_recovery();
-            return;
+    /// short retry budget the server stays
+    /// [`Resyncing`](clouds_dsm::Lifecycle::Resyncing) —
+    /// resuming on the stale pre-crash view (in which this server may
+    /// still be primary) is exactly the split brain the fence exists to
+    /// prevent — and the failover monitor, which retries naming calls
+    /// every tick, lifts the fence when a later full refresh succeeds.
+    ///
+    /// Returns the pending 2PC intents and recorded outcomes the replay
+    /// found, for the co-located commit participant to resume from
+    /// (empty if the server was not down).
+    pub fn restart(&self, net: &Network) -> RecoveredTxns {
+        net.restart(self.node);
+        let Some(down) = self.dsm.down() else {
+            return RecoveredTxns::default();
         };
-        let directory = NameClient::new(&self.ratp, ns);
-        for _ in 0..RESYNC_ATTEMPTS {
-            if failover::refresh_replica_views(&self.dsm, &directory) {
-                self.dsm.finish_recovery();
-                return;
-            }
-            std::thread::sleep(RESYNC_BACKOFF);
+        let (resyncing, out) = down.replay();
+        let naming_server = self.failover.lock().as_ref().map(|st| st.naming_server);
+        // Without a failover monitor nothing could have re-homed
+        // segments while this server was down.
+        let refreshed = naming_server.is_none_or(|ns| {
+            let directory = NameClient::new(&self.ratp, ns);
+            (0..RESYNC_ATTEMPTS).any(|_| {
+                let done = failover::refresh_replica_views(&self.dsm, &directory);
+                if !done {
+                    std::thread::sleep(RESYNC_BACKOFF);
+                }
+                done
+            })
+        });
+        if refreshed {
+            resyncing.serve();
+        } else {
+            self.ratp.obs().instant(
+                "core.failover",
+                "resync_deferred",
+                "naming directory unreachable; replicated segments stay fenced".to_string(),
+            );
         }
-        self.ratp.obs().instant(
-            "core.failover",
-            "resync_deferred",
-            "naming directory unreachable; replicated segments stay fenced".to_string(),
-        );
+        (out.state.pending_intents, out.state.outcomes)
     }
 }
 

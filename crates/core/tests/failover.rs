@@ -6,7 +6,7 @@
 
 use clouds::node::DataServer;
 use clouds::FailoverConfig;
-use clouds_dsm::DsmClientPartition;
+use clouds_dsm::{DsmClientPartition, Lifecycle};
 use clouds_naming::NameClient;
 use clouds_ra::{AddressSpace, PageCache, Partition, SysName, PAGE_SIZE};
 use clouds_ratp::{RatpConfig, RatpNode};
@@ -233,7 +233,7 @@ fn restart_with_unreachable_directory_stays_fenced_until_resync() {
     bed.net.crash(bed.nodes[0]);
     bed.datas[1].restart(&bed.net);
     assert!(
-        bed.datas[1].dsm().is_recovering(),
+        bed.datas[1].dsm().lifecycle() != Lifecycle::Serving,
         "resumed serving on a stale pre-crash view with the directory unreachable"
     );
 
@@ -242,7 +242,7 @@ fn restart_with_unreachable_directory_stays_fenced_until_resync() {
     bed.net.restart(bed.nodes[0]);
     assert!(
         wait_for(Duration::from_secs(10), || {
-            !bed.datas[1].dsm().is_recovering()
+            bed.datas[1].dsm().lifecycle() == Lifecycle::Serving
         }),
         "fence never lifted after the directory became reachable"
     );

@@ -76,4 +76,6 @@ pub use client::{DsmClientConfig, DsmClientPartition, DsmClientStats};
 pub use locks::{LockMode, LockOutcome, LockReply, LockRequest, LockService};
 pub use proto::ports;
 pub use semaphore::{SemReply, SemRequest, SemaphoreService};
-pub use server::{DsmServer, DsmServerStats};
+pub use server::{
+    Down, DsmServer, DsmServerStats, Lifecycle, RecoveredTxns, Resyncing, Serving,
+};

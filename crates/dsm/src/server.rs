@@ -36,6 +36,20 @@
 //! most one stripe held makes the stripe family acyclic by construction,
 //! which is exactly the shape `clouds-lint`'s lock-order rule verifies
 //! for indexed (`shards[i]`) receivers.
+//!
+//! # Fences carried by types
+//!
+//! The segment store, the replica views and the crash/restart
+//! [`Lifecycle`] live in a private module ([`home`]) that the request
+//! handlers cannot see into. A client op reaches its segment only
+//! through the [`Serving`] token [`DsmServer::check_serving`] returns,
+//! and every durable mutation appends its own log record and hands back
+//! the [`Logged`] receipt the ack is built from. Dropping the fence or
+//! the append from a handler is a type error, not a convention.
+
+mod home;
+
+pub use home::{Down, Lifecycle, Resyncing, Serving};
 
 use crate::proto::{
     self, ports, DsmReply, DsmRequest, RecallReply, RecallRequest, WireMode, WirePageGrant,
@@ -44,15 +58,14 @@ use crate::proto::{
 use clouds_codec::PageBytes;
 use clouds_obs::{Counter, Histogram, NodeObs};
 use clouds_ra::{RaError, SegmentStore, SysName};
-use clouds_store::{
-    replay_cost, IntentPage, LogConfig, LogRecord, LogStore, ReplayOutcome, ReplicaRecord,
-};
+use clouds_store::{IntentPage, LogConfig, LogStore, Logged};
 use clouds_ratp::{CallError, RatpNode, Request};
 use clouds_simnet::NodeId;
-use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
+use home::{stripe_of, Home};
+use parking_lot::{Condvar, Mutex};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -109,39 +122,6 @@ impl DirShard {
     }
 }
 
-/// One stripe of the mirror version map (same page→stripe function as
-/// the directory): highest primary-side version applied per mirrored
-/// page; orders racing mirror pushes and absorbs duplicates.
-struct MirrorShard {
-    versions: Mutex<BTreeMap<(SysName, u32), u64>>,
-}
-
-impl MirrorShard {
-    fn new() -> MirrorShard {
-        MirrorShard {
-            versions: Mutex::new(BTreeMap::new()),
-        }
-    }
-}
-
-/// Replica configuration of one replicated segment, as this server
-/// currently believes it: the full membership in promotion order
-/// (`members[0]` is the primary) and the epoch fencing re-homing.
-///
-/// Like the [`SegmentStore`], this map is volatile: the durable "which
-/// disks hold this segment" record is the `ReplicaConfig` entry in the
-/// append-only log, from which a restart reconstructs this view before
-/// the naming-directory resync refines it. A restarted ex-primary may
-/// hold a *stale* view; every mirror push carries the sender's view and
-/// epoch so stale receivers adopt the newer configuration lazily, and
-/// [`DsmServer::adopt_replica_config`] lets a rebooting server resync
-/// from the naming directory eagerly.
-#[derive(Debug, Clone)]
-struct ReplicaState {
-    members: Vec<NodeId>,
-    epoch: u64,
-}
-
 /// Traffic counters for the coherence protocol (experiment E4 reports
 /// these as "page migrations").
 ///
@@ -183,16 +163,20 @@ pub struct DsmServerStats {
     /// Promotions applied: this server assumed the primary role for a
     /// segment.
     pub promotions: u64,
-    /// Directory-stripe lock acquisitions that found the stripe already
-    /// held and had to block (a measure of residual contention; stays
-    /// near zero when the stripe count exceeds the client parallelism).
-    pub shard_contention: u64,
 }
 
 /// What a log replay hands to the co-located 2PC participant: pending
 /// (prepared-but-unresolved) intents by transaction id, and the set of
 /// transactions the local outcome registry durably committed.
 pub type RecoveredTxns = (BTreeMap<u64, Vec<IntentPage>>, BTreeSet<u64>);
+
+/// The reply acknowledging a logged mutation.
+fn ack(result: clouds_ra::Result<Logged>) -> DsmReply {
+    match result {
+        Ok(_logged) => DsmReply::Ok,
+        Err(e) => DsmReply::Err(e.into()),
+    }
+}
 
 /// A data server's DSM service.
 ///
@@ -202,37 +186,12 @@ pub type RecoveredTxns = (BTreeMap<u64, Vec<IntentPage>>, BTreeSet<u64>);
 /// [`ports::DSM_SERVER`].
 pub struct DsmServer {
     ratp: Arc<RatpNode>,
-    /// Volatile page cache over the log ([`DsmServer::log`]); every
-    /// durable mutation appends to the log before it is acknowledged.
-    store: SegmentStore,
-    /// The append-only log: the only state that survives a crash.
-    log: Arc<LogStore>,
+    /// The segment store, the log, the replica views and the lifecycle,
+    /// reachable only through their fenced accessors.
+    home: Home,
     /// The striped coherence directory; see the module docs on the
     /// stripe lock-order rule.
     shards: Vec<DirShard>,
-    /// Mirror version stripes, indexed by the same page→stripe function.
-    mirror_shards: Vec<MirrorShard>,
-    /// Replica configuration per replicated segment (absent for plain
-    /// single-home segments). `BTreeMap` so enumeration is deterministic;
-    /// `RwLock` because the hot path (`check_serving`, on every request)
-    /// only reads it.
-    replicas: RwLock<BTreeMap<SysName, ReplicaState>>,
-    /// Set across a crash/restart: while recovering, replicated segments
-    /// are not served (the local replica view may predate a promotion
-    /// that happened while this server was down — serving on it would be
-    /// a split brain). Cleared once the view is resynced from naming.
-    recovering: AtomicBool,
-    /// Set by [`DsmServer::wipe_store`] (the machine is down, its DRAM
-    /// gone) and cleared by [`DsmServer::recover_from_log`]: between the
-    /// two, the volatile maps are *empty*, not *valid*, and nothing —
-    /// not even the failover monitor's trivially-successful refresh of
-    /// zero segments — may lift the recovery fence.
-    needs_replay: AtomicBool,
-    /// Pending 2PC intents and recorded outcomes reconstructed by the
-    /// last [`DsmServer::recover_from_log`] pass, parked here until the
-    /// co-located commit participant collects them
-    /// ([`DsmServer::take_recovered_txns`]).
-    recovered_txns: Mutex<Option<RecoveredTxns>>,
     obs: Arc<NodeObs>,
     metrics: ServerMetrics,
     grant_seq: AtomicU64,
@@ -254,7 +213,6 @@ struct ServerMetrics {
     mirror_writes: Arc<Counter>,
     mirror_applies: Arc<Counter>,
     promotions: Arc<Counter>,
-    shard_contention: Arc<Counter>,
     /// Virtual time spent replaying the log on restart.
     replay: Arc<Histogram>,
     /// One grant counter per directory stripe (`dsm.server.shardN.grants`),
@@ -295,7 +253,6 @@ impl ServerMetrics {
             mirror_writes: obs.counter("dsm.server.mirror_writes"),
             mirror_applies: obs.counter("dsm.server.mirror_applies"),
             promotions: obs.counter("dsm.server.promotions"),
-            shard_contention: obs.counter("dsm.server.shard_contention"),
             replay: obs.histogram("store.replay"),
             shard_grants: (0..shard_count)
                 .map(|i| shard_grant_counter(obs, i))
@@ -308,7 +265,7 @@ impl fmt::Debug for DsmServer {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("DsmServer")
             .field("node", &self.ratp.node_id())
-            .field("segments", &self.store.len())
+            .field("segments", &self.home.segment_count())
             .field("shards", &self.shards.len())
             .finish()
     }
@@ -346,17 +303,11 @@ impl DsmServer {
         );
         let obs = Arc::clone(ratp.obs());
         let metrics = ServerMetrics::new(&obs, shard_count);
-        let log = Arc::new(LogStore::with_obs(LogConfig::default(), &obs));
+        let log = LogStore::with_obs(LogConfig::default(), &obs);
         let server = Arc::new(DsmServer {
             ratp: Arc::clone(ratp),
-            store,
-            log,
+            home: Home::new(ratp.node_id(), store, log, shard_count),
             shards: (0..shard_count).map(|_| DirShard::new()).collect(),
-            mirror_shards: (0..shard_count).map(|_| MirrorShard::new()).collect(),
-            replicas: RwLock::new(BTreeMap::new()),
-            recovering: AtomicBool::new(false),
-            needs_replay: AtomicBool::new(false),
-            recovered_txns: Mutex::new(None),
             obs,
             metrics,
             grant_seq: AtomicU64::new(1),
@@ -384,36 +335,26 @@ impl DsmServer {
         proto::encode(&reply)
     }
 
-    /// The directory stripe owning `key`: a deterministic mix of the
-    /// 128-bit sysname and the page index, masked to the stripe count.
-    /// Pure arithmetic (no per-process hasher seed) so runs are
-    /// reproducible and a one-shard and an eight-shard server agree on
-    /// every placement decision trivially.
+    /// The directory stripe owning `key` (see [`stripe_of`]).
     fn shard_index(&self, key: (SysName, u32)) -> usize {
-        let raw = key.0.as_u128();
-        let mut h = (raw as u64)
-            ^ ((raw >> 64) as u64)
-            ^ u64::from(key.1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        h ^= h >> 33;
-        h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
-        h ^= h >> 33;
-        (h as usize) & (self.shards.len() - 1)
+        stripe_of(key, self.shards.len())
     }
 
-    /// Lock one directory stripe, counting the acquisitions that had to
-    /// block behind another holder.
-    fn lock_shard(&self, idx: usize) -> MutexGuard<'_, HashMap<(SysName, u32), PageEntry>> {
-        if let Some(guard) = self.shards[idx].pages.try_lock() {
-            return guard;
-        }
-        self.metrics.shard_contention.inc();
-        self.shards[idx].pages.lock()
+    /// Does the store hold `seg`? Unfenced inspection, for tests and
+    /// co-located services; serving paths go through
+    /// [`DsmServer::check_serving`].
+    pub fn holds(&self, seg: SysName) -> bool {
+        self.home.holds(seg)
     }
 
-    /// The canonical segment store (shared with co-located services such
-    /// as the 2PC participant).
-    pub fn store(&self) -> &SegmentStore {
-        &self.store
+    /// Read `len` stored bytes of `seg` at `offset`. Unfenced
+    /// inspection, like [`DsmServer::holds`].
+    ///
+    /// # Errors
+    ///
+    /// Unknown segment or out-of-range read.
+    pub fn read_stored(&self, seg: SysName, offset: u64, len: usize) -> clouds_ra::Result<Vec<u8>> {
+        self.home.read_stored(seg, offset, len)
     }
 
     /// The append-only log backing this server's durability. Co-located
@@ -421,7 +362,7 @@ impl DsmServer {
     /// intent records, the outcome registry) append through this handle
     /// so one replay reconstructs everything the node promised to keep.
     pub fn log(&self) -> &Arc<LogStore> {
-        &self.log
+        self.home.log()
     }
 
     /// The node this server runs on.
@@ -446,7 +387,6 @@ impl DsmServer {
             mirror_writes: self.metrics.mirror_writes.get(),
             mirror_applies: self.metrics.mirror_applies.get(),
             promotions: self.metrics.promotions.get(),
-            shard_contention: self.metrics.shard_contention.get(),
         }
     }
 
@@ -470,7 +410,7 @@ impl DsmServer {
     /// # Errors
     ///
     /// Propagates store errors (unknown segment, bad page).
-    pub fn commit_page(&self, seg: SysName, page: u32, data: &[u8]) -> clouds_ra::Result<u64> {
+    pub fn commit_page(&self, seg: SysName, page: u32, data: &[u8]) -> clouds_ra::Result<Logged> {
         let key = (seg, page);
         let state = self.begin_transition(key);
         let result = (|| {
@@ -490,21 +430,14 @@ impl DsmServer {
                 }
                 Coherence::Idle => {}
             }
-            let segment = self.store.get(seg)?;
-            let version = segment.write().write_page(page, data)?;
+            // Logged before mirroring: the committed image must be on
+            // this node's own media before any ack can escape.
+            let (version, logged) = self.home.commit_write(seg, page, data)?;
             self.metrics.write_backs.inc();
-            // Log before mirroring: the committed image must be on this
-            // node's own media before any ack can escape.
-            self.log.append(LogRecord::PageWrite {
-                seg,
-                page,
-                version,
-                data: data.to_vec(),
-            });
             // The commit is not acknowledged until every backup holds the
             // committed image: a post-commit failover must serve it.
             self.mirror_page(seg, page, &PageBytes::copy_from_slice(data), version)?;
-            Ok(version)
+            Ok(logged)
         })();
         // On an aborted recall, keep the pre-transition copyset: copies
         // that did answer are gone from their caches, but re-recalling a
@@ -525,157 +458,28 @@ impl DsmServer {
         }
     }
 
-    /// The crash wiping this data server's DRAM: every cached segment
-    /// image, the replica view, and the mirror version gates are
-    /// dropped, and the log's own volatile index goes with them
-    /// ([`LogStore::crash`]). Only the log media survives;
-    /// [`DsmServer::recover_from_log`] rebuilds the rest. The coherence
-    /// directory is cleared separately ([`DsmServer::clear_directory`]).
-    /// Stripes are visited in ascending index order, one guard at a
-    /// time.
-    pub fn wipe_store(&self) {
-        self.needs_replay.store(true, Ordering::SeqCst);
-        self.store.clear();
-        self.replicas.write().clear();
-        for idx in 0..self.mirror_shards.len() {
-            self.mirror_shards[idx].versions.lock().clear();
-        }
-        self.log.crash();
-    }
-
-    /// The store was wiped ([`DsmServer::wipe_store`]) and the log has
-    /// not been replayed yet: the volatile maps are empty placeholders,
-    /// not valid state, and the recovery fence must not lift until
-    /// [`DsmServer::recover_from_log`] runs.
-    pub fn needs_replay(&self) -> bool {
-        self.needs_replay.load(Ordering::SeqCst)
-    }
-
-    /// Rebuild the segment cache, replica view and mirror version gates
-    /// from the log alone, charging this node's virtual clock the
-    /// sequential scan cost ([`replay_cost`]) and recording it in the
-    /// `store.replay` histogram. Returns the full [`ReplayOutcome`] so
-    /// co-located services (the 2PC participant, the outcome registry)
-    /// can resume their own durable state from the same pass.
-    pub fn recover_from_log(&self) -> ReplayOutcome {
-        let out = self.log.replay();
-        let cost = replay_cost(out.bytes, out.log_segments);
-        self.obs.clock().charge(cost);
-        self.metrics.replay.record(cost);
-        for (seg, rs) in &out.state.segments {
-            // A double recovery finding the segment in place is fine:
-            // restore_page is idempotent per (page, version).
-            let _ = self.store.create(*seg, rs.len);
-            if let Ok(segment) = self.store.get(*seg) {
-                let mut guard = segment.write();
-                // `ReplaySegment::pages` is a BTreeMap: deterministic order.
-                for (page, (version, data)) in &rs.pages { // lint:allow(hash-iter)
-                    let _ = guard.restore_page(*page, data, *version);
-                }
-            }
-        }
-        {
-            let mut reps = self.replicas.write();
-            for (seg, config) in &out.state.replicas {
-                reps.insert(
-                    *seg,
-                    ReplicaState {
-                        members: config.members.iter().map(|&n| NodeId(n)).collect(),
-                        epoch: config.epoch,
-                    },
-                );
-            }
-        }
-        // Mirror version gates resume at the logged page versions so a
-        // re-pushed (duplicate) mirror write from before the crash is
-        // still recognized as a duplicate.
-        for (seg, rs) in &out.state.segments {
-            if out.state.replicas.contains_key(seg) {
-                // `ReplaySegment::pages` is a BTreeMap: deterministic order.
-                for (page, (version, _)) in &rs.pages { // lint:allow(hash-iter)
-                    let idx = self.shard_index((*seg, *page));
-                    self.mirror_shards[idx]
-                        .versions
-                        .lock()
-                        .insert((*seg, *page), *version);
-                }
-            }
-        }
-        *self.recovered_txns.lock() = Some((
-            out.state.pending_intents.clone(),
-            out.state.outcomes.clone(),
-        ));
-        self.needs_replay.store(false, Ordering::SeqCst);
-        self.obs.instant(
-            "dsm.server",
-            "log_replay",
-            format!(
-                "records={} bytes={} torn={} cost={cost}",
-                out.records, out.bytes, out.torn_dropped
-            ),
-        );
-        out
-    }
-
-    /// Take the pending 2PC intents and recorded commit outcomes
-    /// reconstructed by the last [`DsmServer::recover_from_log`] pass.
-    /// The co-located commit participant consumes these to re-stage
-    /// undecided transactions and rebuild the outcome registry; `None`
-    /// if no replay ran since the last take.
-    pub fn take_recovered_txns(&self) -> Option<RecoveredTxns> {
-        self.recovered_txns.lock().take()
-    }
-
     // --- segment replication ---------------------------------------------
 
-    /// Replicated segments are served only by their primary: a backup
-    /// answers `SegmentNotFound`, exactly as if it did not hold the
-    /// segment, so home discovery and failover retries naturally land on
-    /// the current primary and never see two servers claiming one
-    /// segment.
-    fn check_serving(&self, seg: SysName) -> clouds_ra::Result<()> {
-        match self.replicas.read().get(&seg) {
-            Some(st)
-                if st.members.first() != Some(&self.ratp.node_id())
-                    || self.recovering.load(Ordering::SeqCst) =>
-            {
-                Err(RaError::SegmentNotFound(seg))
-            }
-            _ => Ok(()),
-        }
-    }
-
-    /// Stop serving replicated segments until the replica view is
-    /// resynced — part of the crash simulation: a rebooted ex-primary
-    /// must learn of any demotion that happened while it was down
-    /// *before* it answers home probes again, or two servers would claim
-    /// the same segment. Mirror pushes and promotions still apply while
-    /// recovering (they are how the view catches up).
-    pub fn begin_recovery(&self) {
-        self.recovering.store(true, Ordering::SeqCst);
-    }
-
-    /// Resume serving replicated segments; call after the replica views
-    /// have been refreshed from the naming directory with
-    /// [`DsmServer::adopt_replica_config`].
-    pub fn finish_recovery(&self) {
-        self.recovering.store(false, Ordering::SeqCst);
-    }
-
-    /// Still fenced between [`DsmServer::begin_recovery`] and
-    /// [`DsmServer::finish_recovery`]? The failover monitor keeps
-    /// retrying the directory resync while this holds.
-    pub fn is_recovering(&self) -> bool {
-        self.recovering.load(Ordering::SeqCst)
+    /// The serving fence: a [`Serving`] token for `seg` if this server
+    /// serves it right now. A server that is not [`Lifecycle::Serving`]
+    /// serves no replicated segment (and nothing at all before its log
+    /// is replayed), and a replicated segment is served only by its
+    /// primary. A refused segment answers `SegmentNotFound`, exactly as
+    /// if this server did not hold it, so home discovery and failover
+    /// retries naturally land on the current primary and never see two
+    /// servers claiming one segment.
+    ///
+    /// # Errors
+    ///
+    /// [`RaError::SegmentNotFound`] if fenced off or not stored here.
+    pub fn check_serving(&self, seg: SysName) -> clouds_ra::Result<Serving<'_>> {
+        self.home.check_serving(seg)
     }
 
     /// This server's view of `seg`'s replica set, if replicated:
     /// membership in promotion order (`[0]` = primary) and epoch.
     pub fn replica_view(&self, seg: SysName) -> Option<(Vec<NodeId>, u64)> {
-        self.replicas
-            .read()
-            .get(&seg)
-            .map(|st| (st.members.clone(), st.epoch))
+        self.home.replica_view(seg)
     }
 
     /// Every replicated segment this server participates in, with its
@@ -683,11 +487,7 @@ impl DsmServer {
     /// order. The failover monitor sweeps this to find primaries to
     /// watch.
     pub fn replicated_segments(&self) -> Vec<(SysName, Vec<NodeId>, u64)> {
-        self.replicas
-            .read()
-            .iter()
-            .map(|(seg, st)| (*seg, st.members.clone(), st.epoch))
-            .collect()
+        self.home.replicated_segments()
     }
 
     /// Overwrite the local replica view of `seg` if `epoch` is no older
@@ -696,35 +496,7 @@ impl DsmServer {
     /// ex-primary must learn of its demotion *before* answering home
     /// probes, or two servers would claim the segment).
     pub fn adopt_replica_config(&self, seg: SysName, members: Vec<NodeId>, epoch: u64) {
-        let mut reps = self.replicas.write();
-        let adopted = match reps.get_mut(&seg) {
-            Some(st) if epoch >= st.epoch => {
-                st.members = members.clone();
-                st.epoch = epoch;
-                true
-            }
-            Some(_) => false,
-            None => {
-                reps.insert(seg, ReplicaState { members: members.clone(), epoch });
-                true
-            }
-        };
-        drop(reps);
-        if adopted {
-            self.log_replica_config(seg, &members, epoch);
-        }
-    }
-
-    /// Append the durable record of a replica-view change; replay keeps
-    /// the highest epoch, so logging adoptions unconditionally is safe.
-    fn log_replica_config(&self, seg: SysName, members: &[NodeId], epoch: u64) {
-        self.log.append(LogRecord::ReplicaConfig {
-            seg,
-            config: ReplicaRecord {
-                members: members.iter().map(|n| n.0).collect(),
-                epoch,
-            },
-        });
+        self.home.adopt_replica_config(seg, members, epoch);
     }
 
     /// Assume the primary role for `seg` at `epoch`. Idempotent under
@@ -738,22 +510,7 @@ impl DsmServer {
     /// [`RaError::SegmentNotFound`] if this server holds no replica of
     /// `seg`.
     pub fn promote_segment(&self, seg: SysName, epoch: u64) -> clouds_ra::Result<()> {
-        let me = self.ratp.node_id();
-        let mut reps = self.replicas.write();
-        let st = reps
-            .get_mut(&seg)
-            .ok_or(RaError::SegmentNotFound(seg))?;
-        if epoch > st.epoch {
-            if st.members.first() != Some(&me) {
-                let old = st.members[0];
-                st.members.retain(|&n| n != me && n != old);
-                st.members.insert(0, me);
-                st.members.push(old);
-            }
-            st.epoch = epoch;
-            let members = st.members.clone();
-            drop(reps);
-            self.log_replica_config(seg, &members, epoch);
+        if let Some(_logged) = self.home.promote(seg, epoch)? {
             self.metrics.promotions.inc();
             self.obs
                 .instant("dsm.server", "promote", format!("seg={seg} epoch={epoch}"));
@@ -761,30 +518,16 @@ impl DsmServer {
         Ok(())
     }
 
-    fn create_replicated(&self, seg: SysName, len: u64, members: &[u32]) -> DsmReply {
+    fn create_replicated(&self, seg: SysName, len: u64, members: &[u32]) -> clouds_ra::Result<Logged> {
         let nodes: Vec<NodeId> = members.iter().map(|&n| NodeId(n)).collect();
         if nodes.first() != Some(&self.ratp.node_id()) {
-            return DsmReply::Err(
-                RaError::PartitionUnavailable(format!(
-                    "CreateReplicated sent to {} but members[0] is {:?}",
-                    self.ratp.node_id(),
-                    nodes.first()
-                ))
-                .into(),
-            );
+            return Err(RaError::PartitionUnavailable(format!(
+                "CreateReplicated sent to {} but members[0] is {:?}",
+                self.ratp.node_id(),
+                nodes.first()
+            )));
         }
-        if let Err(e) = self.store.create(seg, len) {
-            return DsmReply::Err(e.into());
-        }
-        self.log.append(LogRecord::SegmentCreate { seg, len });
-        self.replicas.write().insert(
-            seg,
-            ReplicaState {
-                members: nodes.clone(),
-                epoch: 1,
-            },
-        );
-        self.log_replica_config(seg, &nodes, 1);
+        let logged = self.home.create_replicated(seg, len, &nodes)?;
         for &backup in &nodes[1..] {
             let req = DsmRequest::MirrorCreate {
                 seg,
@@ -792,169 +535,9 @@ impl DsmServer {
                 members: members.to_vec(),
                 epoch: 1,
             };
-            if let Err(e) = self.mirror_call(backup, &req) {
-                return DsmReply::Err(e.into());
-            }
+            self.mirror_call(backup, &req)?;
         }
-        DsmReply::Ok
-    }
-
-    fn apply_mirror_create(
-        &self,
-        src: NodeId,
-        seg: SysName,
-        len: u64,
-        members: &[u32],
-        epoch: u64,
-    ) -> DsmReply {
-        if let Err(e) = self.adopt_mirror_config(src, seg, members, epoch) {
-            return DsmReply::Err(e.into());
-        }
-        match self.store.create(seg, len) {
-            Ok(()) => {
-                self.log.append(LogRecord::SegmentCreate { seg, len });
-                DsmReply::Ok
-            }
-            // A retransmitted create finding the segment in place is the
-            // duplicate case (already logged), not a conflict.
-            Err(RaError::SegmentExists(_)) => DsmReply::Ok,
-            Err(e) => DsmReply::Err(e.into()),
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn apply_mirror_write(
-        &self,
-        src: NodeId,
-        seg: SysName,
-        page: u32,
-        data: &[u8],
-        version: u64,
-        members: &[u32],
-        epoch: u64,
-    ) -> DsmReply {
-        if let Err(e) = self.adopt_mirror_config(src, seg, members, epoch) {
-            return DsmReply::Err(e.into());
-        }
-        // Apply under the page's version-stripe lock so a racing older
-        // push can never overwrite a newer image (store application and
-        // the version record move together). Same stripe function as the
-        // directory, so per-page atomicity is preserved across stripes.
-        let idx = self.shard_index((seg, page));
-        let mut versions = self.mirror_shards[idx].versions.lock();
-        let slot = versions.entry((seg, page)).or_insert(0);
-        if version <= *slot {
-            return DsmReply::Ok; // duplicate or already-superseded image
-        }
-        let segment = match self.store.get(seg) {
-            Ok(s) => s,
-            Err(e) => return DsmReply::Err(e.into()),
-        };
-        if let Err(e) = segment.write().write_page(page, data) {
-            return DsmReply::Err(e.into());
-        }
-        *slot = version;
-        // Log the *primary's* version, not the local counter: after a
-        // replay the gate above must resume at the highest version this
-        // backup ever applied.
-        self.log.append(LogRecord::PageWrite {
-            seg,
-            page,
-            version,
-            data: data.to_vec(),
-        });
-        self.metrics.mirror_applies.inc();
-        DsmReply::Ok
-    }
-
-    fn apply_mirror_destroy(&self, seg: SysName, epoch: u64) -> DsmReply {
-        {
-            let mut reps = self.replicas.write();
-            match reps.get(&seg) {
-                None => return DsmReply::Ok, // duplicate destroy
-                Some(st) if epoch < st.epoch => {
-                    return DsmReply::Err(
-                        RaError::PartitionUnavailable(format!(
-                            "stale mirror destroy epoch {epoch} < {}",
-                            st.epoch
-                        ))
-                        .into(),
-                    )
-                }
-                Some(_) => {}
-            }
-            reps.remove(&seg);
-        }
-        self.log.append(LogRecord::SegmentDestroy { seg });
-        self.drop_mirror_versions(seg);
-        match self.store.destroy(seg) {
-            Ok(()) | Err(RaError::SegmentNotFound(_)) => DsmReply::Ok,
-            Err(e) => DsmReply::Err(e.into()),
-        }
-    }
-
-    /// Drop every mirror version record of `seg`, visiting the stripes
-    /// in ascending index order (one guard at a time).
-    fn drop_mirror_versions(&self, seg: SysName) {
-        for idx in 0..self.mirror_shards.len() {
-            self.mirror_shards[idx]
-                .versions
-                .lock()
-                .retain(|(s, _), _| *s != seg);
-        }
-    }
-
-    /// Accept (or refuse) a mirror push's configuration: the sender must
-    /// be the primary of its own view, and its epoch must not be older
-    /// than ours — a stale ex-primary that missed its demotion is fenced
-    /// off here. An equal-or-newer view is adopted, which is how a
-    /// restarted replica with stale membership catches up lazily.
-    fn adopt_mirror_config(
-        &self,
-        src: NodeId,
-        seg: SysName,
-        members: &[u32],
-        epoch: u64,
-    ) -> clouds_ra::Result<()> {
-        if members.first() != Some(&src.0) {
-            return Err(RaError::PartitionUnavailable(format!(
-                "mirror push from {} which is not the primary of its own view",
-                src.0
-            )));
-        }
-        let nodes: Vec<NodeId> = members.iter().map(|&n| NodeId(n)).collect();
-        let mut reps = self.replicas.write();
-        let changed = match reps.get_mut(&seg) {
-            Some(st) => {
-                if epoch < st.epoch {
-                    return Err(RaError::PartitionUnavailable(format!(
-                        "stale mirror epoch {epoch} < {} for {seg}",
-                        st.epoch
-                    )));
-                }
-                // Only log real view changes — this runs on every mirror
-                // push, and the common case is an unchanged view.
-                let changed = st.epoch != epoch || st.members != nodes;
-                st.members = nodes.clone();
-                st.epoch = epoch;
-                changed
-            }
-            None => {
-                reps.insert(
-                    seg,
-                    ReplicaState {
-                        members: nodes.clone(),
-                        epoch,
-                    },
-                );
-                true
-            }
-        };
-        drop(reps);
-        if changed {
-            self.log_replica_config(seg, &nodes, epoch);
-        }
-        Ok(())
+        Ok(logged)
     }
 
     /// Push one durable page image to every backup, blocking until all
@@ -976,7 +559,7 @@ impl DsmServer {
         data: &PageBytes,
         version: u64,
     ) -> clouds_ra::Result<()> {
-        let Some((members, epoch)) = self.primary_view(seg) else {
+        let Some((members, epoch)) = self.home.primary_view(seg) else {
             return Ok(());
         };
         let wire_members: Vec<u32> = members.iter().map(|n| n.0).collect();
@@ -1000,21 +583,13 @@ impl DsmServer {
     /// succeeds — keeping the entry (and the segment) until every backup
     /// confirmed makes a partially failed destroy retriable.
     fn mirror_destroy(&self, seg: SysName) -> clouds_ra::Result<()> {
-        let Some((members, epoch)) = self.primary_view(seg) else {
+        let Some((members, epoch)) = self.home.primary_view(seg) else {
             return Ok(());
         };
         for &backup in &members[1..] {
             self.mirror_call(backup, &DsmRequest::MirrorDestroy { seg, epoch })?;
         }
         Ok(())
-    }
-
-    /// The membership and epoch of `seg` if this server is its primary.
-    fn primary_view(&self, seg: SysName) -> Option<(Vec<NodeId>, u64)> {
-        let reps = self.replicas.read();
-        let st = reps.get(&seg)?;
-        (st.members.first() == Some(&self.ratp.node_id()))
-            .then(|| (st.members.clone(), st.epoch))
     }
 
     /// One mirror RPC with the patient budget. A backup that cannot be
@@ -1047,81 +622,43 @@ impl DsmServer {
 
     fn handle(&self, src: NodeId, req: DsmRequest) -> DsmReply {
         match req {
-            DsmRequest::CreateSegment { seg, len } => match self.store.create(seg, len) {
-                Ok(()) => {
-                    self.log.append(LogRecord::SegmentCreate { seg, len });
-                    DsmReply::Ok
+            DsmRequest::CreateSegment { seg, len } => ack(self.home.create(seg, len)),
+            DsmRequest::DestroySegment { seg } => {
+                ack(self.check_serving(seg).and_then(|serving| self.destroy(serving)))
+            }
+            DsmRequest::SegmentLen { seg } => match self.check_serving(seg) {
+                Ok(serving) => DsmReply::Len(serving.read().len()),
+                Err(e) => DsmReply::Err(e.into()),
+            },
+            DsmRequest::FetchPage { seg, page, mode } => match self.check_serving(seg) {
+                Ok(serving) => {
+                    self.metrics.fetch_rpcs.inc();
+                    self.fetch(src, &serving, page, mode)
                 }
                 Err(e) => DsmReply::Err(e.into()),
             },
-            DsmRequest::DestroySegment { seg } => {
-                if let Err(e) = self.check_serving(seg) {
-                    return DsmReply::Err(e.into());
-                }
-                // Backups drop their copies *first*: if one is down past
-                // the mirror budget, the primary still holds the segment
-                // and its replica entry, so the client's retry re-drives
-                // the whole destroy instead of finding it half-applied
-                // (apply_mirror_destroy is idempotent — backups that
-                // already destroyed simply re-ack).
-                if let Err(e) = self.mirror_destroy(seg) {
-                    return DsmReply::Err(e.into());
-                }
-                match self.store.destroy(seg) {
-                    Ok(()) => {
-                        self.log.append(LogRecord::SegmentDestroy { seg });
-                        for idx in 0..self.shards.len() {
-                            // lint:allow(hash-iter) — retain drops entries
-                            // independently; visit order cannot be observed.
-                            self.shards[idx].pages.lock().retain(|(s, _), _| *s != seg);
-                        }
-                        self.replicas.write().remove(&seg);
-                        self.drop_mirror_versions(seg);
-                        DsmReply::Ok
-                    }
-                    Err(e) => DsmReply::Err(e.into()),
-                }
-            }
-            DsmRequest::SegmentLen { seg } => {
-                if let Err(e) = self.check_serving(seg) {
-                    return DsmReply::Err(e.into());
-                }
-                match self.store.get(seg) {
-                    Ok(s) => DsmReply::Len(s.read().len()),
-                    Err(e) => DsmReply::Err(e.into()),
-                }
-            }
-            DsmRequest::FetchPage { seg, page, mode } => {
-                if let Err(e) = self.check_serving(seg) {
-                    return DsmReply::Err(e.into());
-                }
-                self.metrics.fetch_rpcs.inc();
-                self.fetch(src, seg, page, mode)
-            }
             DsmRequest::FetchPages {
                 seg,
                 first,
                 count,
                 mode,
-            } => {
-                if let Err(e) = self.check_serving(seg) {
-                    return DsmReply::Err(e.into());
+            } => match self.check_serving(seg) {
+                Ok(serving) => {
+                    self.metrics.fetch_rpcs.inc();
+                    self.metrics.batch_fetches.inc();
+                    self.fetch_pages(src, &serving, first, count, mode)
                 }
-                self.metrics.fetch_rpcs.inc();
-                self.metrics.batch_fetches.inc();
-                self.fetch_pages(src, seg, first, count, mode)
-            }
+                Err(e) => DsmReply::Err(e.into()),
+            },
             DsmRequest::WriteBack {
                 seg,
                 page,
                 data,
                 release,
-            } => {
-                if let Err(e) = self.check_serving(seg) {
-                    return DsmReply::Err(e.into());
-                }
-                self.write_back(src, seg, page, &data, release)
-            }
+            } => ack(
+                self.check_serving(seg)
+                    .and_then(|serving| self.write_back(src, &serving, page, &data, release)),
+            ),
             DsmRequest::WriteBackBatch { pages } => self.write_back_batch(&pages),
             DsmRequest::ReleasePage { seg, page } => {
                 self.forget_copy(src, seg, page);
@@ -1152,14 +689,20 @@ impl DsmServer {
                 DsmReply::Ok
             }
             DsmRequest::CreateReplicated { seg, len, members } => {
-                self.create_replicated(seg, len, &members)
+                ack(self.create_replicated(seg, len, &members))
             }
+            // The mirror plane: the epoch check in `Home::mirror` stands
+            // in for the serving fence. `Ok(None)` is a duplicate push,
+            // applied and logged the first time it arrived.
             DsmRequest::MirrorCreate {
                 seg,
                 len,
                 members,
                 epoch,
-            } => self.apply_mirror_create(src, seg, len, &members, epoch),
+            } => match self.home.mirror(src, seg, &members, epoch).and_then(|m| m.create(len)) {
+                Ok(_) => DsmReply::Ok,
+                Err(e) => DsmReply::Err(e.into()),
+            },
             DsmRequest::MirrorWrite {
                 seg,
                 page,
@@ -1167,13 +710,46 @@ impl DsmServer {
                 version,
                 members,
                 epoch,
-            } => self.apply_mirror_write(src, seg, page, data.as_slice(), version, &members, epoch),
-            DsmRequest::MirrorDestroy { seg, epoch } => self.apply_mirror_destroy(seg, epoch),
+            } => match self
+                .home
+                .mirror(src, seg, &members, epoch)
+                .and_then(|m| m.apply_page(page, data.as_slice(), version))
+            {
+                Ok(applied) => {
+                    if applied.is_some() {
+                        self.metrics.mirror_applies.inc();
+                    }
+                    DsmReply::Ok
+                }
+                Err(e) => DsmReply::Err(e.into()),
+            },
+            DsmRequest::MirrorDestroy { seg, epoch } => match self.home.mirror_destroy(seg, epoch) {
+                Ok(_) => DsmReply::Ok,
+                Err(e) => DsmReply::Err(e.into()),
+            },
             DsmRequest::PromoteSegment { seg, epoch } => match self.promote_segment(seg, epoch) {
                 Ok(()) => DsmReply::Ok,
                 Err(e) => DsmReply::Err(e.into()),
             },
         }
+    }
+
+    /// Destroy a served segment. Backups drop their copies *first*: if
+    /// one is down past the mirror budget, the primary still holds the
+    /// segment and its replica entry, so the client's retry re-drives
+    /// the whole destroy instead of finding it half-applied (a mirrored
+    /// destroy is idempotent — backups that already destroyed simply
+    /// re-ack).
+    fn destroy(&self, serving: Serving<'_>) -> clouds_ra::Result<Logged> {
+        let seg = serving.seg();
+        self.mirror_destroy(seg)?;
+        let logged = serving.destroy()?;
+        for idx in 0..self.shards.len() {
+            // lint:allow(hash-iter) — retain drops entries
+            // independently; visit order cannot be observed.
+            self.shards[idx].pages.lock().retain(|(s, _), _| *s != seg);
+        }
+        Ok(logged)
     }
 
     /// Serialize coherence transitions per page: acquire the busy flag,
@@ -1183,7 +759,7 @@ impl DsmServer {
     /// page's own stripe is locked.
     fn begin_transition(&self, key: (SysName, u32)) -> Coherence {
         let idx = self.shard_index(key);
-        let mut pages = self.lock_shard(idx);
+        let mut pages = self.shards[idx].pages.lock();
         loop {
             let entry = pages.entry(key).or_insert(PageEntry {
                 state: Coherence::Idle,
@@ -1217,7 +793,7 @@ impl DsmServer {
     fn end_transition(&self, key: (SysName, u32), new_state: Coherence) {
         let idx = self.shard_index(key);
         {
-            let mut pages = self.lock_shard(idx);
+            let mut pages = self.shards[idx].pages.lock();
             if let Some(entry) = pages.get_mut(&key) {
                 // A voluntary release/write-back may have mutated the state
                 // while we were recalling; the transition's outcome wins,
@@ -1240,7 +816,7 @@ impl DsmServer {
     ) {
         let idx = self.shard_index(key);
         {
-            let mut pages = self.lock_shard(idx);
+            let mut pages = self.shards[idx].pages.lock();
             if let Some(entry) = pages.get_mut(&key) {
                 entry.state = new_state;
                 entry.busy = false;
@@ -1256,7 +832,7 @@ impl DsmServer {
         let idx = self.shard_index((seg, page));
         let mut matched = false;
         {
-            let mut pages = self.lock_shard(idx);
+            let mut pages = self.shards[idx].pages.lock();
             if let Some(entry) = pages.get_mut(&(seg, page)) {
                 if let Some((node, seq, _)) = entry.awaiting_ack {
                     if node == src && seq == grant_seq {
@@ -1270,11 +846,10 @@ impl DsmServer {
         matched
     }
 
-    fn fetch(&self, src: NodeId, seg: SysName, page: u32, mode: WireMode) -> DsmReply {
-        // Validate before touching coherence state.
-        if let Err(e) = self.store.get(seg) {
-            return DsmReply::Err(e.into());
-        }
+    /// Serve a page fault on a segment the fence let through: run the
+    /// coherence transition (recalls and all) and grant the page.
+    pub fn fetch(&self, src: NodeId, serving: &Serving<'_>, page: u32, mode: WireMode) -> DsmReply {
+        let seg = serving.seg();
         // Serving runs on a RaTP handler worker, which installed the
         // caller's wire context — the span parents across the node hop.
         let detail = format!("src={} seg={seg} page={page} mode={mode:?}", src.0);
@@ -1287,7 +862,7 @@ impl DsmServer {
             (WireMode::Read, Coherence::Exclusive(owner)) if owner != src => {
                 match self.recall(owner, RecallRequest::Downgrade { seg, page }) {
                     Ok(RecallReply::Dirty(data)) => {
-                        self.apply_write_back(seg, page, &data);
+                        self.apply_write_back(serving, page, &data);
                         self.metrics.downgrades.inc();
                         Coherence::Shared(HashSet::from([owner, src]))
                     }
@@ -1315,7 +890,7 @@ impl DsmServer {
             (WireMode::Write, Coherence::Exclusive(owner)) if owner != src => {
                 match self.recall(owner, RecallRequest::Reclaim { seg, page }) {
                     Ok(RecallReply::Dirty(data)) => {
-                        self.apply_write_back(seg, page, &data);
+                        self.apply_write_back(serving, page, &data);
                         self.metrics.invalidations.inc();
                     }
                     Ok(RecallReply::Clean) => {
@@ -1339,7 +914,7 @@ impl DsmServer {
                         Ok(RecallReply::Dirty(data)) => {
                             // Shared copies are clean by protocol, but be
                             // liberal in what we accept.
-                            self.apply_write_back(seg, page, &data);
+                            self.apply_write_back(serving, page, &data);
                             self.metrics.invalidations.inc();
                         }
                         Ok(RecallReply::Clean) => {
@@ -1361,7 +936,7 @@ impl DsmServer {
         };
 
         let grant_seq = self.grant_seq.fetch_add(1, Ordering::Relaxed);
-        let grant = match self.read_canonical(seg, page, grant_seq) {
+        let grant = match self.read_canonical(serving, page, grant_seq) {
             Ok(grant) => {
                 match mode {
                     WireMode::Read => self.metrics.read_grants.inc(),
@@ -1394,12 +969,12 @@ impl DsmServer {
     fn fetch_pages(
         &self,
         src: NodeId,
-        seg: SysName,
+        serving: &Serving<'_>,
         first: u32,
         count: u32,
         mode: WireMode,
     ) -> DsmReply {
-        let head = match self.fetch(src, seg, first, mode) {
+        let head = match self.fetch(src, serving, first, mode) {
             DsmReply::Page {
                 data,
                 version,
@@ -1418,7 +993,7 @@ impl DsmServer {
             let Some(page) = first.checked_add(pages.len() as u32) else {
                 break;
             };
-            match self.try_speculative_grant(src, seg, page) {
+            match self.try_speculative_grant(src, serving, page) {
                 Some(grant) => pages.push(grant),
                 None => break,
             }
@@ -1436,13 +1011,13 @@ impl DsmServer {
     fn try_speculative_grant(
         &self,
         src: NodeId,
-        seg: SysName,
+        serving: &Serving<'_>,
         page: u32,
     ) -> Option<WirePageGrant> {
-        let key = (seg, page);
+        let key = (serving.seg(), page);
         let idx = self.shard_index(key);
         let prior = {
-            let mut pages = self.lock_shard(idx);
+            let mut pages = self.shards[idx].pages.lock();
             let entry = pages.entry(key).or_insert(PageEntry {
                 state: Coherence::Idle,
                 busy: false,
@@ -1466,7 +1041,7 @@ impl DsmServer {
             entry.state.clone()
         };
         let grant_seq = self.grant_seq.fetch_add(1, Ordering::Relaxed);
-        match self.read_canonical(seg, page, grant_seq) {
+        match self.read_canonical(serving, page, grant_seq) {
             Ok(grant) => {
                 self.metrics.read_grants.inc();
                 self.metrics.shard_grants[idx].inc();
@@ -1491,12 +1066,11 @@ impl DsmServer {
 
     fn read_canonical(
         &self,
-        seg: SysName,
+        serving: &Serving<'_>,
         page: u32,
         grant_seq: u64,
     ) -> Result<WirePageGrant, RaError> {
-        let segment = self.store.get(seg)?;
-        let segment = segment.read();
+        let segment = serving.read();
         let zero_filled = !segment.is_page_materialized(page);
         // The store hands out a fresh Vec; wrapping it as PageBytes is
         // allocation-free, and from here to the wire the image is only
@@ -1543,83 +1117,81 @@ impl DsmServer {
         }
     }
 
-    fn apply_write_back(&self, seg: SysName, page: u32, data: &PageBytes) {
-        let Ok(segment) = self.store.get(seg) else {
-            return;
-        };
-        // Write under the segment lock, then release it before the log
-        // append and the mirror RPC — an `if let` scrutinee would keep
-        // the write guard alive across the full mirror budget, stalling
-        // every other access to the segment (same pattern as
-        // `write_back`).
-        let written = segment.write().write_page(page, data.as_slice());
-        let Ok(version) = written else {
-            return;
-        };
-        self.metrics.write_backs.inc();
-        self.log.append(LogRecord::PageWrite {
-            seg,
-            page,
-            version,
-            data: data.to_vec(),
-        });
-        // Recalled dirty data was never acknowledged to its
-        // writer, so a lost mirror here cannot violate the
-        // committed-durable invariant — but push it with the
-        // full patient budget anyway so replicas stay
-        // byte-identical, and make the rare failure loud.
-        if let Err(e) = self.mirror_page(seg, page, data, version) {
+    /// Write back the dirty data a recall returned. It was never
+    /// acknowledged to its writer, so a lost mirror here cannot violate
+    /// the committed-durable invariant — but it is pushed with the full
+    /// patient budget anyway so replicas stay byte-identical, and the
+    /// rare failure is made loud.
+    fn apply_write_back(&self, serving: &Serving<'_>, page: u32, data: &PageBytes) {
+        if let Err(e) = self.write_through(serving, page, data) {
             self.obs.instant(
                 "dsm.server",
                 "mirror_recall_failed",
-                format!("seg={seg} page={page}: {e}"),
+                format!("seg={} page={page}: {e}", serving.seg()),
             );
         }
     }
 
-    /// Note: deliberately does *not* take the busy flag — see the module
-    /// docs on deadlock freedom.
-    fn write_back(
+    /// Write one page through: the logged store write, then the mirror
+    /// to every backup. Returns the new version with the write's
+    /// receipt; once this returns, every replica holds the image.
+    fn write_through(
+        &self,
+        serving: &Serving<'_>,
+        page: u32,
+        data: &PageBytes,
+    ) -> clouds_ra::Result<(u64, Logged)> {
+        // Logged before mirroring: the ack promises durability, and
+        // durability lives in the log, not the page cache.
+        let (version, logged) = serving.write_logged(page, data.as_slice())?;
+        self.metrics.write_backs.inc();
+        self.mirror_page(serving.seg(), page, data, version)?;
+        Ok((version, logged))
+    }
+
+    /// Write a page back to a served segment, and forget `src`'s copy
+    /// if it released it. The receipt is the ack's proof of the log
+    /// append: a write-back that skipped it would have nothing to
+    /// return, and outside `clouds-store` no receipt can be made.
+    ///
+    /// ```compile_fail,E0423
+    /// # use clouds_dsm::Serving;
+    /// # use clouds_store::Logged;
+    /// fn write_back(serving: &Serving<'_>, page: u32, data: &[u8]) -> clouds_ra::Result<Logged> {
+    ///     // …the page written to the store, its log record skipped…
+    ///     Ok(Logged)
+    /// }
+    /// ```
+    ///
+    /// Deliberately does *not* take the busy flag — see the module docs
+    /// on deadlock freedom.
+    ///
+    /// # Errors
+    ///
+    /// Store errors, or [`RaError::ReplicaUnavailable`] if a backup
+    /// could not be reached.
+    pub fn write_back(
         &self,
         src: NodeId,
-        seg: SysName,
+        serving: &Serving<'_>,
         page: u32,
         data: &PageBytes,
         release: bool,
-    ) -> DsmReply {
-        let version = match self.store.get(seg) {
-            Ok(segment) => match segment.write().write_page(page, data.as_slice()) {
-                Ok(version) => {
-                    self.metrics.write_backs.inc();
-                    version
-                }
-                Err(e) => return DsmReply::Err(e.into()),
-            },
-            Err(e) => return DsmReply::Err(e.into()),
-        };
-        // Log before mirroring: the ack below promises durability, and
-        // durability lives in the log, not the page cache.
-        self.log.append(LogRecord::PageWrite {
-            seg,
-            page,
-            version,
-            data: data.to_vec(),
-        });
-        // Mirror before acknowledging: once the client sees Ok, every
-        // replica must be able to serve this image after a failover.
-        if let Err(e) = self.mirror_page(seg, page, data, version) {
-            return DsmReply::Err(e.into());
-        }
+    ) -> clouds_ra::Result<Logged> {
+        let (_, logged) = self.write_through(serving, page, data)?;
         if release {
-            self.forget_copy(src, seg, page);
+            self.forget_copy(src, serving.seg(), page);
         }
-        DsmReply::Ok
+        Ok(logged)
     }
 
     /// Apply a whole batch of write-backs in one RPC, returning one
-    /// result per page (aligned with the request). Like
-    /// [`DsmServer::write_back`], this deliberately does not take busy
-    /// flags — see the module docs on deadlock freedom.
+    /// result per page (aligned with the request). Each page passes the
+    /// same per-segment fence as the single-page path: a backup or
+    /// demoted ex-primary must refuse the write (mirroring would
+    /// silently no-op for it), so the client re-resolves the home
+    /// instead of collecting an ack the real primary never saw. Like
+    /// [`DsmServer::write_back`], this does not take busy flags.
     fn write_back_batch(&self, pages: &[WireWriteBack]) -> DsmReply {
         self.metrics.batch_write_backs.inc();
         self.obs.instant(
@@ -1630,36 +1202,12 @@ impl DsmServer {
         let results = pages
             .iter()
             .map(|p| {
-                // Same per-segment fence as the single-page path: a
-                // backup or demoted ex-primary must refuse the write
-                // (mirror_page would silently no-op for it), so the
-                // client re-resolves the home instead of collecting an
-                // ack the real primary never saw.
-                if let Err(e) = self.check_serving(p.seg) {
-                    return Err(e.into());
-                }
-                let version = match self.store.get(p.seg) {
-                    Ok(segment) => match segment.write().write_page(p.page, p.data.as_slice()) {
-                        Ok(version) => {
-                            self.metrics.write_backs.inc();
-                            version
-                        }
-                        Err(e) => return Err(e.into()),
-                    },
-                    Err(e) => return Err(e.into()),
-                };
-                self.log.append(LogRecord::PageWrite {
-                    seg: p.seg,
-                    page: p.page,
-                    version,
-                    data: p.data.to_vec(),
-                });
                 // Per-page mirror before the per-page Ok: the batch reply
                 // acknowledges exactly the pages every replica now holds.
-                match self.mirror_page(p.seg, p.page, &p.data, version) {
-                    Ok(()) => Ok(version),
-                    Err(e) => Err(e.into()),
-                }
+                self.check_serving(p.seg)
+                    .and_then(|serving| self.write_through(&serving, p.page, &p.data))
+                    .map(|(version, _logged)| version)
+                    .map_err(Into::into)
             })
             .collect();
         DsmReply::WriteBackResults { results }
@@ -1667,7 +1215,7 @@ impl DsmServer {
 
     fn forget_copy(&self, src: NodeId, seg: SysName, page: u32) {
         let idx = self.shard_index((seg, page));
-        let mut pages = self.lock_shard(idx);
+        let mut pages = self.shards[idx].pages.lock();
         if let Some(entry) = pages.get_mut(&(seg, page)) {
             match &mut entry.state {
                 Coherence::Exclusive(owner) if *owner == src => {
@@ -1790,7 +1338,7 @@ mod tests {
             ),
             DsmReply::Ok
         ));
-        let stored = server.store().get(seg).unwrap().read().read(0, 5).unwrap();
+        let stored = server.read_stored(seg, 0, 5).unwrap();
         assert_eq!(&stored, b"hello");
         assert_eq!(server.stats().write_backs, 1);
     }
@@ -1948,9 +1496,11 @@ mod tests {
             },
         );
         // Sole member: this server is primary with no backups, so the
-        // only fence that can trip is the recovery flag.
+        // only fence that can trip is the lifecycle's. Both the segment
+        // and its replica config come back from the log.
         server.adopt_replica_config(seg, vec![NodeId(10)], 1);
-        server.begin_recovery();
+        let (resyncing, _) = server.crash().replay();
+        assert_eq!(server.lifecycle(), Lifecycle::Resyncing);
         let req = DsmRequest::WriteBackBatch {
             pages: vec![WireWriteBack {
                 seg,
@@ -1965,11 +1515,30 @@ mod tests {
             )),
             other => panic!("unexpected {other:?}"),
         }
-        server.finish_recovery();
+        resyncing.serve();
         match call(&client, &req) {
             DsmReply::WriteBackResults { results } => assert!(matches!(results[..], [Ok(_)])),
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_token_from_before_a_crash_cannot_lift_the_fence_after_it() {
+        let (_net, server, client) = server();
+        let seg = SysName::from_parts(1, 8);
+        let len = clouds_ra::PAGE_SIZE as u64;
+        call(&client, &DsmRequest::CreateSegment { seg, len });
+        let (stale, _) = server.crash().replay();
+        let _down = server.crash();
+        stale.serve();
+        assert_eq!(server.lifecycle(), Lifecycle::Down);
+        assert!(matches!(
+            call(&client, &DsmRequest::SegmentLen { seg }),
+            DsmReply::Err(crate::proto::WireError::SegmentNotFound(_))
+        ));
+        let (resyncing, _) = server.down().expect("still down").replay();
+        resyncing.serve();
+        assert!(matches!(call(&client, &DsmRequest::SegmentLen { seg }), DsmReply::Len(n) if n == len));
     }
 
     #[test]
@@ -2027,7 +1596,7 @@ mod tests {
         ));
         assert!(primary.replica_view(seg).is_none());
         assert!(backup.replica_view(seg).is_none());
-        assert!(backup.store().get(seg).is_err());
+        assert!(!backup.holds(seg));
     }
 
     #[test]

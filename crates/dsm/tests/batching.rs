@@ -208,11 +208,7 @@ fn commit_flush_32_dirty_pages_in_at_most_2_rpcs() {
     // Every page reached the canonical store.
     for page in 0..PAGES {
         let raw = bed.servers[0]
-            .store()
-            .get(s)
-            .unwrap()
-            .read()
-            .read(page * PAGE_SIZE as u64, 8)
+            .read_stored(s, page * PAGE_SIZE as u64, 8)
             .unwrap();
         assert_eq!(u64::from_le_bytes(raw.try_into().unwrap()), page + 500);
     }
@@ -268,11 +264,7 @@ fn dirty_eviction_is_single_round_trip() {
     assert_eq!(stats.merged_evictions, 1, "{stats:?}");
     assert!(stats.rtts_saved >= 1, "{stats:?}");
     let raw = bed.servers[0]
-        .store()
-        .get(s)
-        .unwrap()
-        .read()
-        .read(0, 8)
+        .read_stored(s, 0, 8)
         .unwrap();
     assert_eq!(u64::from_le_bytes(raw.try_into().unwrap()), 111);
 }
@@ -307,11 +299,7 @@ fn read_ahead_stops_at_exclusive_page_and_recall_keeps_dirty_data() {
     }
     // The downgrade wrote A's dirty page through to the canonical store.
     let raw = bed.servers[0]
-        .store()
-        .get(s)
-        .unwrap()
-        .read()
-        .read(5 * PAGE_SIZE as u64, 8)
+        .read_stored(s, 5 * PAGE_SIZE as u64, 8)
         .unwrap();
     assert_eq!(u64::from_le_bytes(raw.try_into().unwrap()), 0xD1147);
     let server_stats = bed.servers[0].stats();
@@ -354,11 +342,7 @@ fn writer_vs_sequential_scanner_stays_coherent() {
     sw.flush().unwrap();
     for page in 0..PAGES {
         let raw = bed.servers[0]
-            .store()
-            .get(s)
-            .unwrap()
-            .read()
-            .read(page * PAGE_SIZE as u64, 8)
+            .read_stored(s, page * PAGE_SIZE as u64, 8)
             .unwrap();
         assert_eq!(u64::from_le_bytes(raw.try_into().unwrap()), 500 + page);
     }

@@ -216,8 +216,8 @@ fn explicit_placement_and_discovery_across_data_servers() {
     let sa = a.space(s, 1);
     sa.write(0, b"placed").unwrap();
     sa.flush().unwrap();
-    assert!(bed.servers[2].store().contains(s));
-    assert!(!bed.servers[0].store().contains(s));
+    assert!(bed.servers[2].holds(s));
+    assert!(!bed.servers[0].holds(s));
 
     // A different client with no placement knowledge discovers the home.
     let b = bed.client(2, 16);

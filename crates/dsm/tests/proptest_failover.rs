@@ -112,8 +112,7 @@ proptest! {
 
         // Crash the primary exactly as `DataServer::crash` does.
         net.crash(NodeId(100));
-        servers[0].begin_recovery();
-        servers[0].clear_directory();
+        let down = servers[0].crash();
 
         servers[1].promote_segment(seg(), 2).unwrap();
         servers[1].promote_segment(seg(), 2).unwrap(); // duplicate: no-op
@@ -123,8 +122,9 @@ proptest! {
         // Restart + resync the ex-primary (as `DataServer::restart`
         // would from the naming directory) so mirrors reach it again.
         net.restart(NodeId(100));
+        let (resyncing, _) = down.replay();
         servers[0].adopt_replica_config(seg(), rehomed.0.clone(), rehomed.1);
-        servers[0].finish_recovery();
+        resyncing.serve();
 
         apply(&sp, &writes[k..]);
 

@@ -1,20 +1,12 @@
-//! Fixture: a DSM server handler seeding one violation per
-//! inter-procedural rule family, each scoped so it trips *only* its own
-//! rule:
+//! Fixture: a DSM server handler seeding one violation per rule family
+//! that looks across functions or arms, each scoped so it trips *only*
+//! its own rule:
 //!
-//! * `WriteBack` — fenced, mutates, acks `Ok`, never logs
-//!   → **wal-before-ack** (and nothing else);
-//! * `FetchPage` — touches the store with no fence on any path
-//!   → **fence-before-apply**;
 //! * `flush_dirty` — stripe guard held across a blocking `.call(…)`
 //!   → **lock-across-call**;
 //! * the `lint:allow(wall-clock)` below anchors a line that produces no
 //!   wall-clock finding → **stale-allow**;
 //! * `AdoptReplicaConfig` has no arm → **dispatch-arm**.
-//!
-//! `MirrorPage` delegates to `apply_mirror`, which fences, mutates,
-//! logs, and acks correctly — pinning that phase-2 propagation clears
-//! an arm whose obligations are met inside a callee.
 
 use crate::proto::{DsmReply, DsmRequest};
 
@@ -29,20 +21,10 @@ impl DsmServer {
     pub fn handle(&self, req: DsmRequest) -> DsmReply {
         match req {
             DsmRequest::FetchPage { seg, page } => {
-                // No check_serving on any path: a demoted replica
-                // would serve the read.
                 let version = self.store.read_version(seg, page);
                 DsmReply::Grant { version }
             }
-            DsmRequest::WriteBack { seg, page } => {
-                if !self.check_serving(seg) {
-                    return DsmReply::Err("not serving".to_string());
-                }
-                // Mutates and acks, but no path reaches log.append:
-                // crash recovery cannot replay this write.
-                self.store.write_page(seg, page);
-                DsmReply::Ok
-            }
+            DsmRequest::WriteBack { seg, page } => self.apply_write(seg, page),
             DsmRequest::CreateReplicated { seg } => {
                 self.store.create(seg);
                 self.log.append(seg);
@@ -53,7 +35,7 @@ impl DsmServer {
                 self.log.append(seg);
                 DsmReply::Ok
             }
-            DsmRequest::MirrorPage { seg, page } => self.apply_mirror(seg, page),
+            DsmRequest::MirrorPage { seg, page } => self.apply_write(seg, page),
             DsmRequest::Promote { seg, epoch } => {
                 // lint:allow(wall-clock) — stale: nothing here has ever
                 // read a wall clock.
@@ -63,19 +45,10 @@ impl DsmServer {
         }
     }
 
-    /// Correct end-to-end: fence, mutate, log, ack — reached only
-    /// through the `MirrorPage` arm, so the rules must propagate.
-    fn apply_mirror(&self, seg: u64, page: u32) -> DsmReply {
-        if !self.check_serving(seg) {
-            return DsmReply::Err("not serving".to_string());
-        }
+    fn apply_write(&self, seg: u64, page: u32) -> DsmReply {
         self.store.write_page(seg, page);
         self.log.append(seg);
         DsmReply::Ok
-    }
-
-    fn check_serving(&self, seg: u64) -> bool {
-        seg != 0
     }
 
     /// Stripe guard live across a blocking RaTP call.

@@ -69,36 +69,6 @@ pub struct DispatchSpec {
     pub handler_suffixes: &'static [&'static str],
 }
 
-/// WAL-before-ack conformance spec: every arm of `handler_type ::
-/// handler_method`'s match over the wire request enum that (transitively)
-/// mutates durable state *and* constructs a non-error `reply_enum`
-/// variant must also reach `log.append`.
-#[derive(Debug, Clone)]
-pub struct AckHandlerSpec {
-    /// `impl` type of the handler (`DsmServer`, `CommitParticipant`).
-    pub handler_type: &'static str,
-    /// Handler method name (`handle`).
-    pub handler_method: &'static str,
-    /// Wire request enum the handler matches over.
-    pub request_enum: &'static str,
-    /// Reply enum whose non-error variants count as acks.
-    pub reply_enum: &'static str,
-}
-
-/// Fence-before-apply conformance spec: every arm of the handler's
-/// match over `request_enum` that (transitively) touches the segment
-/// store must first reach one of the epoch-fence functions — except the
-/// variants listed exempt (creation ops and the mirror/promotion plane,
-/// which carry their own epoch checks).
-#[derive(Debug, Clone)]
-pub struct FenceSpec {
-    pub handler_type: &'static str,
-    pub handler_method: &'static str,
-    pub request_enum: &'static str,
-    /// Variants exempt from the fence (with the reason in the policy).
-    pub exempt_variants: &'static [&'static str],
-}
-
 /// Engine configuration. [`Config::clouds`] is the workspace's own
 /// policy; fixtures and tests may build stricter or looser ones.
 #[derive(Debug, Clone)]
@@ -110,33 +80,14 @@ pub struct Config {
     pub dispatch: Vec<DispatchSpec>,
     /// Root-relative path of the metric-name manifest.
     pub obs_manifest: String,
-    /// WAL-before-ack handler specs.
-    pub ack_handlers: Vec<AckHandlerSpec>,
-    /// Fence-before-apply handler specs.
-    pub fences: Vec<FenceSpec>,
-    /// Hop bound for phase-2 summary propagation. 4 covers the deepest
-    /// real chain (`handle` → `write_back_batch` → `write_back` →
-    /// `log.append`) with one hop to spare; anything deeper is far more
-    /// likely a name-matching artifact than a real call path.
+    /// Hop bound for phase-2 summary propagation: deep enough for the
+    /// real blocking chains (handler → helper → mirror RPC), shallow
+    /// enough that deeper chains are more likely name-matching artifacts
+    /// than real call paths.
     pub max_call_depth: usize,
     /// Method names that block (transport calls, channel sends/recvs);
     /// matched in method form only.
     pub blocking_methods: Vec<&'static str>,
-    /// Epoch-fence function names.
-    pub fence_fns: Vec<&'static str>,
-    /// Write-ahead-log method names (on a `log_receivers` receiver).
-    pub log_methods: Vec<&'static str>,
-    /// Receiver names whose method calls are WAL appends.
-    pub log_receivers: Vec<&'static str>,
-    /// Receiver names whose method calls are segment-store touches.
-    pub store_receivers: Vec<&'static str>,
-    /// Store methods that mutate durable state.
-    pub store_mutator_methods: Vec<&'static str>,
-    /// Free/method names that mutate durable state wherever they appear.
-    pub mutator_methods: Vec<&'static str>,
-    /// Reply enums and their error variants: constructing any *other*
-    /// variant counts as an ack-returning path.
-    pub reply_enums: Vec<(&'static str, Vec<&'static str>)>,
 }
 
 impl Config {
@@ -178,37 +129,6 @@ impl Config {
                 },
             ],
             obs_manifest: "OBS_SCHEMA.md".into(),
-            ack_handlers: vec![
-                AckHandlerSpec {
-                    handler_type: "DsmServer",
-                    handler_method: "handle",
-                    request_enum: "DsmRequest",
-                    reply_enum: "DsmReply",
-                },
-                AckHandlerSpec {
-                    handler_type: "CommitParticipant",
-                    handler_method: "handle",
-                    request_enum: "CommitRequest",
-                    reply_enum: "CommitReply",
-                },
-            ],
-            fences: vec![FenceSpec {
-                handler_type: "DsmServer",
-                handler_method: "handle",
-                request_enum: "DsmRequest",
-                // Creation ops act before the segment is served;
-                // the mirror/promotion plane carries its own epoch
-                // checks (`adopt_mirror_config` / `log_replica_config`)
-                // instead of the serving fence.
-                exempt_variants: &[
-                    "CreateSegment",
-                    "CreateReplicated",
-                    "MirrorCreate",
-                    "MirrorWrite",
-                    "MirrorDestroy",
-                    "PromoteSegment",
-                ],
-            }],
             max_call_depth: 4,
             blocking_methods: vec![
                 "call",
@@ -219,21 +139,6 @@ impl Config {
                 "send",
                 "recv",
                 "recv_timeout",
-            ],
-            fence_fns: vec!["check_serving"],
-            log_methods: vec!["append"],
-            log_receivers: vec!["log"],
-            store_receivers: vec!["store"],
-            store_mutator_methods: vec!["create", "destroy"],
-            mutator_methods: vec![
-                "write_page",
-                "restore_page",
-                "commit_page",
-                "install_pages",
-            ],
-            reply_enums: vec![
-                ("DsmReply", vec!["Err"]),
-                ("CommitReply", vec!["Refused", "Unknown"]),
             ],
         }
     }
@@ -252,8 +157,6 @@ pub fn run(root: &Path, cfg: &Config) -> std::io::Result<Vec<Finding>> {
     rules::locks::check(&sums, &mut findings);
     rules::dispatch::check(&files, cfg, &mut findings);
     rules::obs_schema::check(root, &files, cfg, &mut findings);
-    rules::wal_ack::check(&files, &sums, cfg, &mut findings);
-    rules::fence::check(&files, &sums, cfg, &mut findings);
     rules::lock_across_call::check(&sums, cfg, &mut findings);
 
     // Apply lint:allow suppression, recording which directive each
@@ -521,14 +424,6 @@ pub const RULES: &[(&str, &str)] = &[
     ),
     ("dispatch-arm", "every wire enum variant must have a handler arm"),
     ("obs-schema", "metric names must match the checked-in manifest"),
-    (
-        "wal-before-ack",
-        "acked durable mutations must reach log.append",
-    ),
-    (
-        "fence-before-apply",
-        "wire-dispatched segment ops must pass the epoch fence before touching the store",
-    ),
     ("stale-allow", "lint:allow directives that suppress nothing"),
 ];
 

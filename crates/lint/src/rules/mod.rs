@@ -3,9 +3,7 @@
 
 pub mod determinism;
 pub mod dispatch;
-pub mod fence;
 pub mod hash_iter;
 pub mod lock_across_call;
 pub mod locks;
 pub mod obs_schema;
-pub mod wal_ack;

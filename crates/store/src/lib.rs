@@ -318,6 +318,18 @@ struct LogInner {
     stats: StoreStats,
 }
 
+/// Receipt that a record reached the log media.
+///
+/// Only [`LogStore::append`] mints one: the field is private to this
+/// crate, so a function whose signature promises a `Logged` cannot
+/// return without appending. Data-server paths that acknowledge a
+/// durable mutation carry this receipt to the ack, which makes the
+/// write-ahead discipline a property of their types.
+#[derive(Debug)]
+pub struct Logged {
+    _minted_by_append: (),
+}
+
 /// The append-only log store. One per data server; the simulated disk.
 pub struct LogStore {
     cfg: LogConfig,
@@ -520,9 +532,10 @@ impl LogStore {
     }
 
     /// Append one record durably. This is the *only* way state enters
-    /// the media; callers append before acknowledging the operation
-    /// the record describes (write-ahead discipline).
-    pub fn append(&self, rec: LogRecord) {
+    /// the media, and the returned [`Logged`] receipt is what a caller
+    /// acknowledging the operation the record describes must hold
+    /// (write-ahead discipline).
+    pub fn append(&self, rec: LogRecord) -> Logged {
         let payload = rec.encode();
         let framed_len = (RECORD_HEADER_BYTES + payload.len()) as u64;
         let mut inner = self.inner.lock();
@@ -598,6 +611,9 @@ impl LogStore {
             && inner.index.as_ref().is_some_and(|i| 2 * i.dead_bytes >= inner.stats.media_bytes)
         {
             self.compact_locked(inner);
+        }
+        Logged {
+            _minted_by_append: (),
         }
     }
 
